@@ -81,14 +81,17 @@ void ControllerCore::publish_store_gauges(Mib& mib, util::SimTime now) const {
   mib.set_gauge(scope_, "bw_spill_unmaps", static_cast<double>(s.spill_unmaps));
   // Snapshot read path (DESIGN.md §14): view traffic, views pinning memory
   // right now, the interner generation readers resolve against, and how far
-  // behind `now` a snapshot taken this instant would be.
+  // behind `now` a snapshot taken this instant would be. All of it comes off
+  // stats() and the interner, not a ReadView of our own, so the view
+  // counters count readers only.
   mib.set_gauge(scope_, "bw_read_views_acquired", static_cast<double>(s.views_acquired));
   mib.set_gauge(scope_, "bw_read_views_live", static_cast<double>(s.views_live));
-  const telemetry::BandwidthLogStore::ReadView view = store_.read_view();
-  mib.set_gauge(scope_, "bw_reader_pair_epoch", static_cast<double>(view.ids().pair_count));
-  mib.set_gauge(scope_, "bw_reader_dc_epoch", static_cast<double>(view.ids().dc_count));
+  // Interner generation after the shard walk, in read_view()'s order.
+  const util::IdSpaceSnapshot ids = util::IdSpace::global().snapshot();
+  mib.set_gauge(scope_, "bw_reader_pair_epoch", static_cast<double>(ids.pair_count));
+  mib.set_gauge(scope_, "bw_reader_dc_epoch", static_cast<double>(ids.dc_count));
   mib.set_gauge(scope_, "bw_snapshot_age",
-                view.high_water() > 0 ? static_cast<double>(now - view.high_water()) : 0.0);
+                s.high_water > 0 ? static_cast<double>(now - s.high_water) : 0.0);
 }
 
 telemetry::DriftReport ControllerCore::check_demand_drift(

@@ -214,18 +214,20 @@ BandwidthLog BandwidthLog::from_listing_format(const std::string& text, std::siz
   return log;
 }
 
-std::size_t BandwidthLog::approximate_bytes() const noexcept {
-  // "2025-06-01T00:00, us-e1, eu-w1, 1250\n" — timestamp (16) + separators
-  // (6) + value (~6) + names. Name lengths are cached per pair id.
+std::size_t pair_name_bytes(util::PairId pair) {
   const util::IdSpace& ids = util::IdSpace::global();
+  return ids.src_name(pair).size() + ids.dst_name(pair).size();
+}
+
+std::size_t BandwidthLog::approximate_bytes() const noexcept {
+  // "2025-06-01T00:00, us-e1, eu-w1, 1250\n". Name lengths are cached per
+  // pair id.
   std::unordered_map<util::PairId, std::size_t> name_bytes;
   std::size_t bytes = 0;
   for (const util::PairId p : pairs_) {
     auto it = name_bytes.find(p);
-    if (it == name_bytes.end()) {
-      it = name_bytes.emplace(p, ids.src_name(p).size() + ids.dst_name(p).size()).first;
-    }
-    bytes += 16 + 6 + 6 + it->second + 1;
+    if (it == name_bytes.end()) it = name_bytes.emplace(p, pair_name_bytes(p)).first;
+    bytes += kListingRowBytes + it->second;
   }
   return bytes;
 }

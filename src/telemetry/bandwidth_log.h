@@ -170,4 +170,12 @@ class BandwidthLog {
 std::unordered_map<util::PairId, std::uint32_t> pair_name_ranks(
     std::span<const util::PairId> pairs);
 
+/// Listing-1 size estimate of one fine row, names excluded: timestamp (16)
+/// + separators (6) + value (~6) + newline. BandwidthLog::approximate_bytes
+/// and the log store's fine_bytes gauge add pair_name_bytes() to it.
+inline constexpr std::size_t kListingRowBytes = 16 + 6 + 6 + 1;
+
+/// src + dst name length of `pair`: the name term of the size estimates.
+std::size_t pair_name_bytes(util::PairId pair);
+
 }  // namespace smn::telemetry

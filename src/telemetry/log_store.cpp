@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 
 #include "telemetry/spill_file.h"
 #include "util/contracts.h"
@@ -177,6 +176,7 @@ std::uint32_t BandwidthLogStore::slot_of(Shard& shard, util::PairId pair) {
     shard.local_of[pair] = slot;
     shard.pairs.push_back(pair);
     shard.drift.emplace_back();
+    shard.name_bytes.push_back(static_cast<std::uint32_t>(pair_name_bytes(pair)));
   }
   return slot;
 }
@@ -227,6 +227,7 @@ void BandwidthLogStore::accumulate_locked(Shard& shard, DaySlab& slab,
     acc.run_begin.push_back(static_cast<std::uint32_t>(acc.samples.size()));
   }
   acc.samples.push_back(bw_gbps);
+  slab.listing_bytes += kListingRowBytes + shard.name_bytes[slot];
 
   if (shard.drift_enabled) {
     PairDrift& d = shard.drift[slot];
@@ -491,37 +492,57 @@ std::size_t BandwidthLogStore::coarsen_older_than(util::SimTime now, util::SimTi
       // Lockstep publication into the snapshot-readable twin: a ReadView's
       // coarse_limit_ always names a prefix of the same emission order.
       core_->coarse_rows.push_back(summary);
+      core_->coarse_bytes.fetch_add(kCoarseRowBytes + pair_name_bytes(summary.pair),
+                                    std::memory_order_relaxed);
     }
   }
   return retired;
+}
+
+void BandwidthLogStore::capture_shard_locked(const Shard& shard, ReadView::ShardView* sv,
+                                             ReadView* view) {
+  sv->resident.reserve(shard.days.size());
+  for (const auto& [day, slab] : shard.days) {
+    ReadView::ResidentDay rd;
+    rd.day = day;
+    rd.slab = slab;
+    rd.rows = slab->seg.rows();  // the per-slab high-water mark
+    if (rd.rows > 0) {
+      view->high_water_ = std::max(view->high_water_, slab->seg.timestamp_at(rd.rows - 1));
+    }
+    view->fine_rows_ += rd.rows;
+    sv->resident.push_back(std::move(rd));
+  }
+  sv->spilled.reserve(shard.spilled.size());
+  for (const auto& [day, generations] : shard.spilled) {
+    for (const SpillEntry& entry : generations) view->fine_rows_ += entry.records;
+    view->high_water_ = std::max(view->high_water_, day + util::kDay - 1);
+    sv->spilled.emplace_back(day, generations);
+  }
 }
 
 BandwidthLogStore::ReadView BandwidthLogStore::read_view() const {
   ReadView view;
   view.core_ = core_;
   view.shards_.resize(shards_.size());
+  // Shards locked at first sight are captured last, so a view does not
+  // trail a retention pass (which holds each shard's lock in turn for a
+  // whole seal and spill) through every shard it has still to retire. Each
+  // shard is captured whole under its lock, so the order changes no view.
+  std::vector<std::size_t> busy;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = shards_[s];
-    ReadView::ShardView& sv = view.shards_[s];
+    if (!shard.mutex.try_lock()) {
+      busy.push_back(s);
+      continue;
+    }
+    std::lock_guard<std::mutex> lock(shard.mutex, std::adopt_lock);
+    capture_shard_locked(shard, &view.shards_[s], &view);
+  }
+  for (const std::size_t s : busy) {
+    const Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    sv.resident.reserve(shard.days.size());
-    for (const auto& [day, slab] : shard.days) {
-      ReadView::ResidentDay rd;
-      rd.day = day;
-      rd.slab = slab;
-      rd.rows = slab->seg.rows();  // the per-slab high-water mark
-      if (rd.rows > 0) {
-        view.high_water_ = std::max(view.high_water_, slab->seg.timestamp_at(rd.rows - 1));
-      }
-      view.fine_rows_ += rd.rows;
-      sv.resident.push_back(std::move(rd));
-    }
-    sv.spilled.reserve(shard.spilled.size());
-    for (const auto& [day, generations] : shard.spilled) {
-      for (const SpillEntry& entry : generations) view.fine_rows_ += entry.records;
-      view.high_water_ = std::max(view.high_water_, day + util::kDay - 1);
-      sv.spilled.emplace_back(day, generations);
-    }
+    capture_shard_locked(shard, &view.shards_[s], &view);
   }
   // Coarse mark AFTER the shard walk: a day retired mid-acquisition is
   // covered by its pinned slab or new spill generation when the shard was
@@ -608,10 +629,12 @@ LogStoreStats BandwidthLogStore::stats() const {
     std::lock_guard<std::mutex> lock(shard.mutex);
     std::size_t records = 0;
     for (const auto& [day, slab] : shard.days) {
-      records += slab->seg.rows();
-      s.fine_bytes += slab->seg.approximate_listing_bytes();
+      const std::size_t rows = slab->seg.rows();
+      records += rows;
+      s.fine_bytes += slab->listing_bytes;
       s.resident_bytes += slab->seg.memory_bytes();
-      for (const PairDayAccum& acc : slab->accums) s.open_window_samples += acc.samples.size();
+      // Same high-water definition as read_view().
+      if (rows > 0) s.high_water = std::max(s.high_water, slab->seg.timestamp_at(rows - 1));
     }
     for (const auto& [day, generations] : shard.spilled) {
       s.spilled_files += generations.size();
@@ -619,32 +642,21 @@ LogStoreStats BandwidthLogStore::stats() const {
         s.spilled_records += entry.records;
         s.spilled_bytes += entry.file_bytes;
       }
+      s.high_water = std::max(s.high_water, day + util::kDay - 1);
     }
     s.shard_records.push_back(records);
     s.fine_records += records;
   }
+  // Every resident row was accumulated as exactly one open-window sample
+  // (under the same lock as its append), and a slab's accumulators leave
+  // with the slab — so the two counts are equal by construction.
+  s.open_window_samples = s.fine_records;
   s.spill_maps = core_->spill_maps.load(std::memory_order_relaxed);
   s.spill_unmaps = core_->spill_unmaps.load(std::memory_order_relaxed);
   s.views_acquired = core_->views_acquired.load(std::memory_order_relaxed);
   s.views_live = core_->views_live.load(std::memory_order_relaxed);
-  // Coarse footprint off the epoch-published row table (safe against a
-  // concurrent retention pass), with the same Listing-style estimate
-  // CoarseBandwidthLog::approximate_bytes uses: window bounds (2 x 16) +
-  // five statistics (~6 each) + names + commas.
-  const util::IdSpace& ids = util::IdSpace::global();
-  std::unordered_map<util::PairId, std::size_t> name_bytes;
-  const std::size_t n_coarse = core_->coarse_rows.size();
-  s.coarse_summaries = n_coarse;
-  for (std::size_t i = 0; i < n_coarse; ++i) {
-    const WindowSummary& sum = core_->coarse_rows[i];
-    auto it = name_bytes.find(sum.pair);
-    if (it == name_bytes.end()) {
-      it = name_bytes
-               .emplace(sum.pair, ids.src_name(sum.pair).size() + ids.dst_name(sum.pair).size())
-               .first;
-    }
-    s.coarse_bytes += 32 + 5 * 6 + it->second + 8;
-  }
+  s.coarse_summaries = core_->coarse_rows.size();
+  s.coarse_bytes = core_->coarse_bytes.load(std::memory_order_relaxed);
   return s;
 }
 

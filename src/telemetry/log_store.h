@@ -87,6 +87,9 @@ struct LogStoreStats {
   /// (each live view can pin retired day slabs in memory).
   std::uint64_t views_acquired = 0;
   std::uint64_t views_live = 0;
+  /// What read_view().high_water() would return now: the last resident row
+  /// or spilled day end; 0 for an empty store.
+  util::SimTime high_water = 0;
 
   std::size_t total_bytes() const noexcept { return fine_bytes + coarse_bytes; }
 };
@@ -166,6 +169,12 @@ class BandwidthLogStore {
   struct DaySlab {
     StableLog seg;
     std::vector<PairDayAccum> accums;
+    /// Listing-1 serialized size of the slab's rows (the fine_bytes gauge),
+    /// summed as rows arrive. Like `accums`, views never read it. DaySlab
+    /// has no mutex of its own for an annotation to name; the counter is
+    /// reached only through the guarded Shard::days / Shard::open, so every
+    /// access holds the shard mutex.
+    std::size_t listing_bytes = 0;
   };
 
   /// One sealed-and-spilled generation of a (shard, day) segment. Spill
@@ -195,6 +204,9 @@ class BandwidthLogStore {
     /// state, so they stay atomics rather than joining a shard lock).
     std::atomic<std::uint64_t> spill_maps{0};
     std::atomic<std::uint64_t> spill_unmaps{0};
+    /// Listing-style serialized size of coarse_rows, bumped in lockstep with
+    /// each push by the retention pass (the coarse_bytes gauge).
+    std::atomic<std::uint64_t> coarse_bytes{0};
   };
 
  public:
@@ -278,7 +290,10 @@ class BandwidthLogStore {
 
   /// Captures a ReadView under brief per-shard metadata locks. Never
   /// blocks on a query in flight; ingest is held out only for the O(days)
-  /// metadata walk of one shard at a time.
+  /// metadata walk of one shard at a time. Shards locked at first sight
+  /// (mid-retirement) are captured last, so a view waits out at most the
+  /// retirements already in progress, not every shard a retention pass has
+  /// still to reach.
   ReadView read_view() const;
 
   /// Appends one record into its shard's day segment and open window
@@ -333,6 +348,10 @@ class BandwidthLogStore {
   util::SimTime streaming_window() const noexcept { return window_; }
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
+  /// Footprint gauges. O(shards x resident days + spilled generations):
+  /// the byte estimates are running counts kept by ingest and retention,
+  /// so no stored row is walked. Takes each shard lock in turn and
+  /// acquires no ReadView.
   LogStoreStats stats() const;
 
   // --- Drift tracking (streaming TE re-solve triggers) ---
@@ -369,6 +388,9 @@ class BandwidthLogStore {
     std::vector<util::PairId> pairs SMN_GUARDED_BY(mutex);
     /// By slot.
     std::vector<PairDrift> drift SMN_GUARDED_BY(mutex);
+    /// By slot: src + dst name length, the per-row term of the Listing-1
+    /// byte estimate (cached at slot assignment).
+    std::vector<std::uint32_t> name_bytes SMN_GUARDED_BY(mutex);
     bool drift_enabled SMN_GUARDED_BY(mutex) = false;
     /// Cold tier of this shard: day -> spill files in generation (ingest)
     /// order. A day can appear here and in `days` at once after re-ingest.
@@ -393,6 +415,12 @@ class BandwidthLogStore {
     std::span<const util::PairId> pairs;
     std::span<const double> bw_gbps;
   };
+
+  /// Copies `shard`'s slab pointers, published row counts and spilled
+  /// generation lists into `*sv`, and folds them into `view`'s row count
+  /// and high-water mark.
+  static void capture_shard_locked(const Shard& shard, ReadView::ShardView* sv, ReadView* view)
+      SMN_REQUIRES(shard.mutex);
 
   /// Slot of `pair` in `shard`, assigning one on first sight.
   static std::uint32_t slot_of(Shard& shard, util::PairId pair)

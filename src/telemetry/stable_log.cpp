@@ -1,7 +1,5 @@
 #include "telemetry/stable_log.h"
 
-#include <unordered_map>
-
 #include "util/contracts.h"
 
 namespace smn::telemetry {
@@ -35,25 +33,6 @@ BandwidthLog StableLog::materialize(std::size_t limit) const {
     out.append_columns(ts, pairs_.chunk_span(off, ts.size()), bw_.chunk_span(off, ts.size()));
   });
   return out;
-}
-
-std::size_t StableLog::approximate_listing_bytes() const {
-  // "2025-06-01T00:00, us-e1, eu-w1, 1250\n" — timestamp (16) + separators
-  // (6) + value (~6) + names; name lengths cached per pair id (the same
-  // estimate BandwidthLog::approximate_bytes uses).
-  const util::IdSpace& ids = util::IdSpace::global();
-  std::unordered_map<util::PairId, std::size_t> name_bytes;
-  std::size_t bytes = 0;
-  const std::size_t n = rows();
-  for (std::size_t i = 0; i < n; ++i) {
-    const util::PairId p = pairs_[i];
-    auto it = name_bytes.find(p);
-    if (it == name_bytes.end()) {
-      it = name_bytes.emplace(p, ids.src_name(p).size() + ids.dst_name(p).size()).first;
-    }
-    bytes += 16 + 6 + 6 + it->second + 1;
-  }
-  return bytes;
 }
 
 }  // namespace smn::telemetry

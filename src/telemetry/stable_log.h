@@ -77,10 +77,6 @@ class StableLog {
     return rows() * (sizeof(util::SimTime) + sizeof(util::PairId) + sizeof(double));
   }
 
-  /// Approximate Listing-1 serialized size of published rows (the
-  /// fine_bytes stats gauge; same estimate as BandwidthLog).
-  std::size_t approximate_listing_bytes() const;
-
  private:
   util::EpochTable<util::SimTime> timestamps_;
   util::EpochTable<util::PairId> pairs_;

@@ -96,17 +96,12 @@ BandwidthLog CoarseBandwidthLog::reconstruct(util::SimTime epoch) const {
 }
 
 std::size_t CoarseBandwidthLog::approximate_bytes() const noexcept {
-  const util::IdSpace& ids = util::IdSpace::global();
   std::unordered_map<util::PairId, std::size_t> name_bytes;
   std::size_t bytes = 0;
   for (const WindowSummary& s : summaries_) {
     auto it = name_bytes.find(s.pair);
-    if (it == name_bytes.end()) {
-      it = name_bytes.emplace(s.pair, ids.src_name(s.pair).size() + ids.dst_name(s.pair).size())
-               .first;
-    }
-    // window bounds (2 x 16) + five statistics (~6 each) + names + commas.
-    bytes += 32 + 5 * 6 + it->second + 8;
+    if (it == name_bytes.end()) it = name_bytes.emplace(s.pair, pair_name_bytes(s.pair)).first;
+    bytes += kCoarseRowBytes + it->second;
   }
   return bytes;
 }

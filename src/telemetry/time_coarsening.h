@@ -42,6 +42,12 @@ struct WindowSummary {
   const std::string& dst() const { return util::IdSpace::global().dst_name(pair); }
 };
 
+/// Serialized size estimate of one summary row, names excluded: window
+/// bounds (2 x 16) + five statistics (~6 each) + commas.
+/// CoarseBandwidthLog::approximate_bytes and the log store's coarse_bytes
+/// gauge add pair_name_bytes() to it.
+inline constexpr std::size_t kCoarseRowBytes = 32 + 5 * 6 + 8;
+
 /// The coarse structure s: a bag of window summaries, queryable per pair.
 class CoarseBandwidthLog {
  public:
@@ -70,8 +76,7 @@ class CoarseBandwidthLog {
   /// it were a fine log.
   BandwidthLog reconstruct(util::SimTime epoch) const;
 
-  /// Approximate serialized size: each summary row stores 5 statistics plus
-  /// window bounds and names.
+  /// Approximate serialized size: kCoarseRowBytes plus names per summary.
   std::size_t approximate_bytes() const noexcept;
 
  private:

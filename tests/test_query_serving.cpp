@@ -412,15 +412,33 @@ TEST(ReadViewStress, ViewsStayCoherentUnderIngestAndRetention) {
     });
   }
 
+  // Gauge publisher: stats() reads the running counts under the same race.
+  // A seal moves rows resident -> spilled inside one shard lock and coarse
+  // rows are append-only, so none of these totals may ever fall.
+  std::thread gauges([&] {
+    LogStoreStats last;
+    while (!done.load(std::memory_order_acquire)) {
+      const LogStoreStats s = store.stats();
+      ASSERT_GE(s.fine_records + s.spilled_records, last.fine_records + last.spilled_records);
+      ASSERT_GE(s.coarse_summaries, last.coarse_summaries);
+      ASSERT_GE(s.coarse_bytes, last.coarse_bytes);
+      last = s;
+    }
+  });
+
   writer.join();
   retainer.join();
+  gauges.join();
   for (std::thread& t : readers) t.join();
 
   // Quiesced end state: the cold tier preserved every sealed row, so the
   // final merge returns the full stream's record population.
   EXPECT_EQ(store.fine_range(0, kAllTime).record_count(), stream.record_count());
-  EXPECT_GT(store.stats().views_acquired, 0u);
-  EXPECT_EQ(store.stats().views_live, 0u);
+  const LogStoreStats end = store.stats();
+  EXPECT_GT(end.views_acquired, 0u);
+  EXPECT_EQ(end.views_live, 0u);
+  EXPECT_EQ(end.fine_records + end.spilled_records, stream.record_count());
+  EXPECT_EQ(end.coarse_bytes, store.coarse().approximate_bytes());
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // The top-level SMN controller, the CLTO, and the war stories.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "depgraph/reddit.h"
 #include "smn/smn_controller.h"
 #include "optical/optical.h"
 #include "smn/war_stories.h"
+#include "telemetry/traffic_generator.h"
 #include "topology/wan_generator.h"
 #include "util/contracts.h"
 
@@ -228,6 +232,64 @@ TEST(SmnController, DriftTriggeredResolveFiresEarlyWithHysteresis) {
   controller.check_demand_drift(5 * util::kHour);
   EXPECT_EQ(controller.early_te_resolves(), 2u);
   EXPECT_GE(*controller.mib().get("smn", "bw_drift_level"), 0.0);
+}
+
+/// A controller config whose Clto trains in a fraction of the default time.
+SmnConfig quick_config() {
+  SmnConfig config;
+  config.clto.training_incidents = 80;
+  config.clto.forest_trees = 20;
+  return config;
+}
+
+TEST(SmnController, GaugeTicksTakeNoReadView) {
+  const depgraph::ServiceGraph sg = depgraph::build_reddit_deployment();
+  const topology::WanTopology wan = topology::generate_test_wan();
+  const SmnConfig config = quick_config();
+  SmnController controller(sg, wan, config);
+  const auto views = [&] { return *controller.mib().get("smn", "bw_read_views_acquired"); };
+
+  // The first tick runs every loop: the gauges publish first, then the
+  // planning pass reads the (empty) store through one view.
+  controller.tick(0);
+  EXPECT_EQ(views(), 0.0);
+  // Later ticks run only the gauge and drift loops, which take no view:
+  // the counter stays at the planning pass's single read.
+  for (int i = 1; i <= 24; ++i) {
+    controller.tick(i * config.telemetry_loop_period);
+    EXPECT_EQ(views(), 1.0) << "tick " << i;
+  }
+  EXPECT_EQ(controller.bandwidth_store().stats().views_acquired, 1u);
+  EXPECT_EQ(*controller.mib().get("smn", "bw_read_views_live"), 0.0);
+}
+
+TEST(SmnController, SnapshotAgeGaugeMatchesReadViewHighWater) {
+  const depgraph::ServiceGraph sg = depgraph::build_reddit_deployment();
+  const topology::WanTopology wan = topology::generate_test_wan();
+  SmnConfig config = quick_config();
+  config.bw_max_fine_age = util::kDay;
+  config.bw_spill_dir = ::testing::TempDir() + "smn_controller_snapshot_age";
+  std::filesystem::remove_all(config.bw_spill_dir);
+  SmnController controller(sg, wan, config);
+
+  telemetry::TrafficConfig traffic;
+  traffic.duration = 3 * util::kDay;
+  traffic.active_pairs = 24;
+  traffic.seed = 31;
+  controller.ingest_bandwidth(telemetry::TrafficGenerator(wan, traffic).generate());
+
+  // Days 0 and 1 spill; day 2 stays resident.
+  const util::SimTime now = 3 * util::kDay + util::kHour;
+  controller.run_retention(now);
+  const telemetry::LogStoreStats stats = controller.bandwidth_store().stats();
+  ASSERT_GT(stats.spilled_records, 0u);
+  ASSERT_GT(stats.fine_records, 0u);
+
+  const util::SimTime high_water = controller.bandwidth_store().read_view().high_water();
+  ASSERT_GT(high_water, 0);
+  controller.tick(now);
+  EXPECT_EQ(*controller.mib().get("smn", "bw_snapshot_age"),
+            static_cast<double>(now - high_water));
 }
 
 TEST(SmnController, Table1HasSevenAspects) {

@@ -216,6 +216,19 @@ TEST(RegionController, ExportsOnlyNewlySealedSummaries) {
             controller.store().coarse().summaries().size());
 }
 
+TEST(RegionController, RetentionGaugesTakeNoReadView) {
+  // Each retention pass republishes the store gauges; the view counter
+  // must count readers only, not the gauge publisher.
+  const topology::WanTopology wan = topology::generate_test_wan();
+  RegionController controller(wan.regions().front(), wan);
+  for (int day = 1; day <= 5; ++day) {
+    controller.run_retention(day * util::kDay);
+    EXPECT_EQ(*controller.mib().get("region/" + controller.region(), "bw_read_views_acquired"),
+              0.0);
+  }
+  EXPECT_EQ(controller.store().stats().views_acquired, 0u);
+}
+
 // -------------------------------------------- global merge byte-identity --
 
 /// The federation correctness invariant: region-partitioned ingest +

@@ -11,6 +11,11 @@
 // fine_range() over spilled days — full horizon, ranges straddling the
 // spill/resident boundary, and after re-ingest into an already-spilled day
 // — must stay byte-identical to a store that never sealed anything.
+//
+// stats() keeps its byte gauges as running counts; the reference
+// estimators they replaced (BandwidthLog::approximate_bytes over the
+// resident rows, CoarseBandwidthLog::approximate_bytes over coarse()) pin
+// them to exact values through every ingest path, seal, spill and re-ingest.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -114,6 +119,27 @@ LogStoreConfig spill_config(std::size_t shards, std::size_t threads, const std::
   LogStoreConfig config = sharded(shards, threads);
   config.spill_dir = ::testing::TempDir() + "smn_spill_prop/" + subdir;
   return config;
+}
+
+BandwidthLog concat(const BandwidthLog& a, const BandwidthLog& b) {
+  BandwidthLog out = a;
+  for (std::size_t i = 0; i < b.record_count(); ++i) {
+    out.append(b.timestamps()[i], b.pair_ids()[i], b.bandwidths()[i]);
+  }
+  return out;
+}
+
+/// stats() against the reference estimators: fine gauges against the
+/// store's resident rows, coarse gauges against coarse(), and the
+/// high-water mark against a fresh ReadView.
+void expect_stats_match_reference(const BandwidthLogStore& store, const BandwidthLog& resident) {
+  const LogStoreStats stats = store.stats();
+  EXPECT_EQ(stats.fine_records, resident.record_count());
+  EXPECT_EQ(stats.open_window_samples, resident.record_count());
+  EXPECT_EQ(stats.fine_bytes, resident.approximate_bytes());
+  EXPECT_EQ(stats.coarse_summaries, store.coarse().summary_count());
+  EXPECT_EQ(stats.coarse_bytes, store.coarse().approximate_bytes());
+  EXPECT_EQ(stats.high_water, store.read_view().high_water());
 }
 
 TEST(ShardMergeProperty, BulkIngestMatchesSingleShardAtManyShardAndThreadCounts) {
@@ -364,6 +390,55 @@ TEST(SpillTierProperty, PartialRetentionWithSpillMatchesNoSpillCoarse) {
   // The drop store lost the sealed prefix; the spill store still serves it.
   EXPECT_LT(dropping.fine_range(0, util::kDay).record_count(),
             spilling.fine_range(0, util::kDay).record_count());
+}
+
+TEST(StatsGaugeProperty, RunningCountsMatchReferenceEstimators) {
+  const BandwidthLog stream = multi_day_stream(1111, 3000, 3);
+  // Late arrivals near t=0: they land in days the first seal spilled.
+  const BandwidthLog late = random_stream(1212, 2000);
+  const util::SimTime now = 3 * util::kDay;
+
+  // Per-record ingest at every shard count; bulk ingest is the single-shard
+  // append loop at one shard and the counting-sort scatter above that.
+  for (const std::size_t shards : {1u, 3u, 8u}) {
+    for (const bool bulk : {false, true}) {
+      const std::string name = "stats_s" + std::to_string(shards) + (bulk ? "_bulk" : "_record");
+      SCOPED_TRACE(name);
+      BandwidthLogStore store(spill_config(shards, 2, name));
+      const auto feed = [&](const BandwidthLog& log) {
+        if (bulk) {
+          store.ingest(log);
+          return;
+        }
+        for (std::size_t i = 0; i < log.record_count(); ++i) {
+          store.ingest(log.timestamps()[i], log.pair_ids()[i], log.bandwidths()[i]);
+        }
+      };
+
+      feed(stream);
+      expect_stats_match_reference(store, stream);
+
+      // Seal and spill days 0 and 1; day 2 stays resident.
+      store.coarsen_older_than(now, util::kDay, util::kHour);
+      const BandwidthLog day2 = store.fine_range(2 * util::kDay, now);
+      ASSERT_GT(day2.record_count(), 0u);
+      ASSERT_GT(store.stats().spilled_records, 0u);
+      expect_stats_match_reference(store, day2);
+
+      // Re-ingest into spilled days opens fresh resident slabs behind the
+      // spill files.
+      feed(late);
+      expect_stats_match_reference(store, concat(day2, late));
+
+      // Sealing everything writes the second-generation files.
+      const std::size_t files_before = store.stats().spilled_files;
+      store.coarsen_older_than(10 * util::kDay, 0, util::kHour);
+      const LogStoreStats sealed = store.stats();
+      EXPECT_GT(sealed.spilled_files, files_before);
+      EXPECT_EQ(sealed.spilled_records, stream.record_count() + late.record_count());
+      expect_stats_match_reference(store, BandwidthLog{});
+    }
+  }
 }
 
 }  // namespace
