@@ -81,7 +81,7 @@ class SingleShardStore {
         ++it;
         continue;
       }
-      seal_day(it->first, accums_.at(it->first));
+      seal_day(accums_.at(it->first));
       accums_.erase(it->first);
       retired += it->second.record_count();
       it = segments_.erase(it);
@@ -114,15 +114,14 @@ class SingleShardStore {
            static_cast<std::uint32_t>(window_start / window_);
   }
 
-  void seal_day(util::SimTime day,
-                std::unordered_map<std::uint64_t, std::vector<double>>& accums) {
+  void seal_day(std::unordered_map<std::uint64_t, std::vector<double>>& accums) {
     std::vector<std::uint64_t> keys;
     keys.reserve(accums.size());
     for (const auto& [k, _] : accums) keys.push_back(k);
-    const auto rank = telemetry::pair_name_ranks(segments_.at(day).pair_ids());
+    const auto ranks = util::IdSpace::global().pair_ranks();
     std::sort(keys.begin(), keys.end(), [&](std::uint64_t a, std::uint64_t b) {
-      const auto pa = rank.at(static_cast<util::PairId>(a >> 32));
-      const auto pb = rank.at(static_cast<util::PairId>(b >> 32));
+      const auto pa = (*ranks)[static_cast<util::PairId>(a >> 32)];
+      const auto pb = (*ranks)[static_cast<util::PairId>(b >> 32)];
       if (pa != pb) return pa < pb;
       return (a & 0xFFFFFFFFu) < (b & 0xFFFFFFFFu);
     });

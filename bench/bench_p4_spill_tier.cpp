@@ -10,6 +10,9 @@
 //   * cold-read latency: fine_range() over one spilled day (each call maps
 //     the day's column files back, checksum verified) vs the same day read
 //     from the all-resident store,
+//   * a 15-minute read of a spilled day, with its work counts: the spill
+//     bytes it checksummed (against the day's spill bytes) and the rows it
+//     scanned — the read verifies only the blocks its window overlaps,
 //   * byte-identity of the spill store's fine_range() against the
 //     all-resident store — over the full horizon, over a purely spilled
 //     range, and over a range straddling the spill/resident boundary — and
@@ -22,13 +25,17 @@
 //     "memory": {"all_resident_bytes", "spilled_resident_bytes",
 //                "resident_reduction", "spilled_file_bytes", "spill_files"},
 //     "cold_read": {"spilled_day_ms", "resident_day_ms", ...},
+//     "window_read": {"window_s", "ms", "records", "rows_scanned",
+//                     "bytes_verified", "day_spill_bytes", "verified_fraction"},
 //     "fidelity": {"full_identical", "spilled_only_identical",
-//                  "straddle_identical", "coarse_identical", "reduction_ok"}
+//                  "straddle_identical", "coarse_identical", "reduction_ok",
+//                  "window_identical"}
 //   }
 //
 // `--smoke` shrinks the WAN and pair count for the bench_smoke ctest label
 // but keeps the four-day shape, so the 3x reduction gate holds there too.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -176,6 +183,37 @@ int main(int argc, char** argv) {
       resident_day_ms = std::min(resident_day_ms, ms_since(start));
     }
   }
+  // --- A 15-minute read inside spilled day 1, with its work counts. The
+  // day's spill bytes are its files on disk, headers included. ---
+  const util::SimTime window_lo = util::kDay + 6 * util::kHour;
+  const util::SimTime window_hi = window_lo + 15 * util::kMinute;
+  std::size_t day_spill_bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(spill_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find("_day" + std::to_string(util::kDay) + "_") != std::string::npos) {
+      day_spill_bytes += entry.file_size();
+    }
+  }
+  const telemetry::LogStoreStats before_window = spilled.stats();
+  double window_ms = std::numeric_limits<double>::infinity();
+  telemetry::BandwidthLog window_log;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = Clock::now();
+    window_log = spilled.fine_range(window_lo, window_hi);
+    window_ms = std::min(window_ms, ms_since(start));
+  }
+  const telemetry::LogStoreStats after_window = spilled.stats();
+  const std::uint64_t window_bytes_verified =
+      (after_window.spill_bytes_verified - before_window.spill_bytes_verified) / reps;
+  const std::uint64_t window_rows_scanned =
+      (after_window.rows_scanned - before_window.rows_scanned) / reps;
+  const double verified_fraction =
+      day_spill_bytes > 0
+          ? static_cast<double>(window_bytes_verified) / static_cast<double>(day_spill_bytes)
+          : 0.0;
+  const bool window_identical =
+      logs_identical(window_log, reference.fine_range(window_lo, window_hi));
+
   const auto records_per_s = [&](double ms) {
     return ms > 0.0 ? static_cast<double>(day_records) / (ms / 1000.0) : 0.0;
   };
@@ -194,11 +232,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(final_stats.spill_unmaps));
   std::printf("day read (%zu records): spilled %.2f ms vs resident %.2f ms (%.2fx)\n",
               day_records, spilled_day_ms, resident_day_ms, cold_over_resident);
-  std::printf("fidelity: full %s, spilled-only %s, straddle %s, coarse %s\n",
+  std::printf("15-minute spilled read (%zu records): %.3f ms, %zu rows scanned, %llu of the "
+              "day's %zu spill bytes verified (%.2f%%)\n",
+              window_log.record_count(), window_ms, static_cast<std::size_t>(window_rows_scanned),
+              static_cast<unsigned long long>(window_bytes_verified), day_spill_bytes,
+              100.0 * verified_fraction);
+  std::printf("fidelity: full %s, spilled-only %s, straddle %s, coarse %s, window %s\n",
               full_identical ? "identical" : "MISMATCH",
               spilled_only_identical ? "identical" : "MISMATCH",
               straddle_identical ? "identical" : "MISMATCH",
-              coarse_identical ? "identical" : "MISMATCH");
+              coarse_identical ? "identical" : "MISMATCH",
+              window_identical ? "identical" : "MISMATCH");
 
   std::FILE* out = std::fopen("BENCH_spill_tier.json", "w");
   if (out == nullptr) {
@@ -224,16 +268,25 @@ int main(int argc, char** argv) {
                spilled_day_ms, resident_day_ms, records_per_s(spilled_day_ms),
                records_per_s(resident_day_ms), cold_over_resident, day_records, seal_ms);
   std::fprintf(out,
+               "  \"window_read\": {\"window_s\": %lld, \"ms\": %.3f, \"records\": %zu, "
+               "\"rows_scanned\": %llu, \"bytes_verified\": %llu, \"day_spill_bytes\": %zu, "
+               "\"verified_fraction\": %.6f},\n",
+               static_cast<long long>(window_hi - window_lo), window_ms,
+               window_log.record_count(), static_cast<unsigned long long>(window_rows_scanned),
+               static_cast<unsigned long long>(window_bytes_verified), day_spill_bytes,
+               verified_fraction);
+  std::fprintf(out,
                "  \"fidelity\": {\"full_identical\": %s, \"spilled_only_identical\": %s, "
-               "\"straddle_identical\": %s, \"coarse_identical\": %s, \"reduction_ok\": %s}\n",
+               "\"straddle_identical\": %s, \"coarse_identical\": %s, \"reduction_ok\": %s, "
+               "\"window_identical\": %s}\n",
                full_identical ? "true" : "false", spilled_only_identical ? "true" : "false",
                straddle_identical ? "true" : "false", coarse_identical ? "true" : "false",
-               reduction_ok ? "true" : "false");
+               reduction_ok ? "true" : "false", window_identical ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote BENCH_spill_tier.json\n");
   return (full_identical && spilled_only_identical && straddle_identical && coarse_identical &&
-          reduction_ok)
+          reduction_ok && window_identical)
              ? 0
              : 1;
 }

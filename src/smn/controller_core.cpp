@@ -79,6 +79,9 @@ void ControllerCore::publish_store_gauges(Mib& mib, util::SimTime now) const {
   mib.set_gauge(scope_, "bw_spill_files", static_cast<double>(s.spilled_files));
   mib.set_gauge(scope_, "bw_spill_maps", static_cast<double>(s.spill_maps));
   mib.set_gauge(scope_, "bw_spill_unmaps", static_cast<double>(s.spill_unmaps));
+  // Read work: what the reads cost, as counts no host speed moves.
+  mib.set_gauge(scope_, "bw_spill_bytes_verified", static_cast<double>(s.spill_bytes_verified));
+  mib.set_gauge(scope_, "bw_rows_scanned", static_cast<double>(s.rows_scanned));
   // Snapshot read path (DESIGN.md §14): view traffic, views pinning memory
   // right now, the interner generation readers resolve against, and how far
   // behind `now` a snapshot taken this instant would be. All of it comes off

@@ -74,13 +74,13 @@ std::size_t GlobalController::merge_pending() {
   // (ascending) and merges each day's summaries by (src name, dst name,
   // window start). Reproducing it here is what makes the federated coarse
   // log byte-identical to the monolithic one once all exports are in.
-  const util::IdSpace& ids = util::IdSpace::global();
+  const auto ranks = util::IdSpace::global().pair_ranks();
   std::stable_sort(pending.begin(), pending.end(),
-                   [&ids](const telemetry::WindowSummary& a, const telemetry::WindowSummary& b) {
+                   [&](const telemetry::WindowSummary& a, const telemetry::WindowSummary& b) {
                      const util::SimTime day_a = (a.window_start / util::kDay) * util::kDay;
                      const util::SimTime day_b = (b.window_start / util::kDay) * util::kDay;
                      if (day_a != day_b) return day_a < day_b;
-                     if (a.pair != b.pair) return ids.pair_name_less(a.pair, b.pair);
+                     if (a.pair != b.pair) return (*ranks)[a.pair] < (*ranks)[b.pair];
                      return a.window_start < b.window_start;
                    });
   // Horizon ordering across merge calls: a batch must never start before a

@@ -13,9 +13,9 @@ namespace {
 /// old string-keyed std::map produced, kept so demand matrices are
 /// byte-identical regardless of interning history.
 std::vector<util::PairId> name_sorted(std::vector<util::PairId> pairs) {
-  const util::IdSpace& ids = util::IdSpace::global();
+  const auto ranks = util::IdSpace::global().pair_ranks();
   std::sort(pairs.begin(), pairs.end(),
-            [&](util::PairId a, util::PairId b) { return ids.pair_name_less(a, b); });
+            [&](util::PairId a, util::PairId b) { return (*ranks)[a] < (*ranks)[b]; });
   return pairs;
 }
 

@@ -1,30 +1,18 @@
 #include "telemetry/bandwidth_log.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 
 #include "util/contracts.h"
 #include "util/string_util.h"
 
 namespace smn::telemetry {
-
-std::unordered_map<util::PairId, std::uint32_t> pair_name_ranks(
-    std::span<const util::PairId> pairs) {
-  std::vector<util::PairId> unique(pairs.begin(), pairs.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  const util::IdSpace& ids = util::IdSpace::global();
-  std::sort(unique.begin(), unique.end(),
-            [&](util::PairId a, util::PairId b) { return ids.pair_name_less(a, b); });
-  std::unordered_map<util::PairId, std::uint32_t> rank;
-  rank.reserve(unique.size());
-  for (std::uint32_t i = 0; i < unique.size(); ++i) rank.emplace(unique[i], i);
-  return rank;
-}
 
 BandwidthRecord BandwidthLog::record_at(std::size_t i) const {
   const util::IdSpace& ids = util::IdSpace::global();
@@ -68,24 +56,66 @@ void BandwidthLog::append_time_filtered(std::span<const util::SimTime> timestamp
 void BandwidthLog::sort() {
   SMN_DCHECK(pairs_.size() == timestamps_.size() && bw_.size() == timestamps_.size(),
              "columnar SoA columns diverged");
-  const auto rank = pair_name_ranks(pairs_);
-  std::vector<std::uint32_t> order(record_count());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    if (timestamps_[a] != timestamps_[b]) return timestamps_[a] < timestamps_[b];
-    return rank.at(pairs_[a]) < rank.at(pairs_[b]);
-  });
-  std::vector<util::SimTime> ts(record_count());
-  std::vector<util::PairId> pr(record_count());
-  std::vector<double> bw(record_count());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    ts[i] = timestamps_[order[i]];
-    pr[i] = pairs_[order[i]];
-    bw[i] = bw_[order[i]];
+  const std::size_t n = record_count();
+  SMN_CHECK(n <= 0xFFFFFFFFu, "BandwidthLog::sort indexes rows with 32 bits");
+  if (n < 2) return;
+  const auto ranks = util::IdSpace::global().pair_ranks();
+  const util::PairRankTable& rank = *ranks;
+  // Rows already in (timestamp, name rank) order — one shard's read, or a
+  // log sorted before — stay where they are.
+  std::size_t i = 1;
+  while (i < n && (timestamps_[i - 1] < timestamps_[i] ||
+                   (timestamps_[i - 1] == timestamps_[i] &&
+                    (pairs_[i - 1] == pairs_[i] || rank[pairs_[i - 1]] < rank[pairs_[i]])))) {
+    ++i;
   }
-  timestamps_ = std::move(ts);
-  pairs_ = std::move(pr);
-  bw_ = std::move(bw);
+  if (i == n) return;
+  // One unsigned key per row: the timestamp's offset from the earliest one
+  // above the dense name rank. LSD radix passes over the key are stable,
+  // so rows with equal (timestamp, pair) keep their input order.
+  const auto [lo, hi] = std::minmax_element(timestamps_.begin(), timestamps_.end());
+  const auto offset = [first = static_cast<std::uint64_t>(*lo)](util::SimTime t) {
+    return static_cast<std::uint64_t>(t) - first;
+  };
+  const int rank_bits = std::bit_width(rank.size());
+  const int key_bits = std::bit_width(offset(*hi)) + rank_bits;
+  SMN_CHECK(key_bits <= 64, "BandwidthLog::sort: timestamp span too wide for its sort key");
+  std::vector<std::uint64_t> keys(n);
+  std::vector<std::uint32_t> rows(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    keys[r] = (offset(timestamps_[r]) << rank_bits) | rank[pairs_[r]];
+    rows[r] = static_cast<std::uint32_t>(r);
+  }
+  constexpr int kDigitBits = 8;
+  constexpr std::uint64_t kDigitMask = (1u << kDigitBits) - 1;
+  std::vector<std::uint64_t> keys_out(n);
+  std::vector<std::uint32_t> rows_out(n);
+  std::vector<std::uint32_t> start(kDigitMask + 2);
+  for (int shift = 0; shift < key_bits; shift += kDigitBits) {
+    std::fill(start.begin(), start.end(), 0u);
+    for (const std::uint64_t k : keys) ++start[((k >> shift) & kDigitMask) + 1];
+    if (start[((keys[0] >> shift) & kDigitMask) + 1] == n) continue;  // one digit value
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::uint32_t to = start[(keys[r] >> shift) & kDigitMask]++;
+      keys_out[to] = keys[r];
+      rows_out[to] = rows[r];
+    }
+    keys.swap(keys_out);
+    rows.swap(rows_out);
+  }
+  // Release the key buffers before the gather, one column at a time.
+  keys = {};
+  keys_out = {};
+  rows_out = {};
+  const auto gather = [&](auto& column) {
+    std::remove_reference_t<decltype(column)> sorted(n);
+    for (std::size_t r = 0; r < n; ++r) sorted[r] = column[rows[r]];
+    column = std::move(sorted);
+  };
+  gather(timestamps_);
+  gather(pairs_);
+  gather(bw_);
 }
 
 std::pair<util::SimTime, util::SimTime> BandwidthLog::time_range() const noexcept {

@@ -18,7 +18,6 @@
 #include <map>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/interner.h"
@@ -112,7 +111,9 @@ class BandwidthLog {
   std::vector<BandwidthRecord> records() const;
 
   /// Stable-sorts by (timestamp, src, dst) — name order, not id order, so
-  /// serialized output is independent of interning history.
+  /// serialized output is independent of interning history. Ranks pairs
+  /// through IdSpace::pair_ranks() (no string comparison once the table
+  /// covers the log's pairs) and returns early on a log already in order.
   void sort();
 
   /// Time range covered: {min_ts, max_ts}; {0, 0} when empty.
@@ -163,12 +164,10 @@ class BandwidthLog {
   std::vector<double> bw_;
 };
 
-/// Ranks the distinct pair ids of `pairs` by (src name, dst name). Id-based
-/// group-by paths sort their output with these ranks so emission order stays
-/// byte-identical to the old string-keyed std::map paths, independent of
-/// interning history.
-std::unordered_map<util::PairId, std::uint32_t> pair_name_ranks(
-    std::span<const util::PairId> pairs);
+/// Rows per chunk of the fine tier: the StableLog chunk of a resident day
+/// slab, and the verified block of a spill file. A windowed read scans and
+/// verifies whole chunks, so this bounds what it touches beyond its rows.
+inline constexpr std::size_t kFineChunkRows = 512;
 
 /// Listing-1 size estimate of one fine row, names excluded: timestamp (16)
 /// + separators (6) + value (~6) + newline. BandwidthLog::approximate_bytes

@@ -470,23 +470,22 @@ std::size_t BandwidthLogStore::coarsen_older_than(util::SimTime now, util::SimTi
     for (const std::size_t r : shard_retired) retired += r;
     // Merge in the single-shard emission order: (src name, dst name,
     // window start). (pair, window) is unique across shards, so a plain
-    // sort fully determines the order.
+    // sort on (name rank, window start) fully determines the order.
     std::size_t total = 0;
     for (const auto& p : parts) total += p.size();
     std::vector<WindowSummary> merged;
     merged.reserve(total);
     for (const auto& p : parts) merged.insert(merged.end(), p.begin(), p.end());
-    std::vector<util::PairId> day_pairs;
-    day_pairs.reserve(merged.size());
-    for (const WindowSummary& summary : merged) day_pairs.push_back(summary.pair);
-    const auto rank = pair_name_ranks(day_pairs);
-    std::sort(merged.begin(), merged.end(),
-              [&](const WindowSummary& a, const WindowSummary& b) {
-                const auto ra = rank.at(a.pair);
-                const auto rb = rank.at(b.pair);
-                if (ra != rb) return ra < rb;
-                return a.window_start < b.window_start;
-              });
+    const auto ranks = util::IdSpace::global().pair_ranks();
+    const auto emission_less = [&](const WindowSummary& a, const WindowSummary& b) {
+      const std::uint32_t ra = (*ranks)[a.pair];
+      const std::uint32_t rb = (*ranks)[b.pair];
+      if (ra != rb) return ra < rb;
+      return a.window_start < b.window_start;
+    };
+    if (!std::is_sorted(merged.begin(), merged.end(), emission_less)) {
+      std::sort(merged.begin(), merged.end(), emission_less);
+    }
     for (const WindowSummary& summary : merged) {
       coarse_.append(summary);
       // Lockstep publication into the snapshot-readable twin: a ReadView's
@@ -570,19 +569,32 @@ const WindowSummary& BandwidthLogStore::ReadView::coarse_at(std::size_t i) const
 BandwidthLog BandwidthLogStore::ReadView::fine_range(util::SimTime begin,
                                                      util::SimTime end) const {
   BandwidthLog out;
+  std::uint64_t bytes_verified = 0;
+  std::uint64_t rows_scanned = 0;
   const auto day_in_range = [&](util::SimTime day) {
     return day < end && day + util::kDay > begin;
   };
   const auto emit_cold = [&](const std::vector<SpillEntry>& generations) {
     for (const SpillEntry& entry : generations) {
-      const SpilledSegment seg = SpilledSegment::open(entry.path, core_->verify_checksum);
+      // open() verifies the header and block table; the read verifies only
+      // the blocks its window overlaps.
+      const SpilledSegment seg = SpilledSegment::open(entry.path, /*verify_checksum=*/false);
       core_->spill_maps.fetch_add(1, std::memory_order_relaxed);
-      out.append_time_filtered(seg.timestamps(), seg.pair_ids(), seg.bandwidths(), begin, end);
+      SpillReadStats read;
+      try {
+        read = seg.emit_time_filtered(&out, begin, end, core_->verify_checksum);
+      } catch (...) {
+        // A corrupt block throws; the mapping is released all the same.
+        core_->spill_unmaps.fetch_add(1, std::memory_order_relaxed);
+        throw;
+      }
+      bytes_verified += seg.header_bytes() + read.bytes_verified;
+      rows_scanned += read.rows_scanned;
       core_->spill_unmaps.fetch_add(1, std::memory_order_relaxed);
     }
   };
   const auto emit_warm = [&](const ResidentDay& rd) {
-    rd.slab->seg.emit_time_filtered(&out, rd.rows, begin, end);
+    rows_scanned += rd.slab->seg.emit_time_filtered(&out, rd.rows, begin, end);
   };
   for (const ShardView& shard : shards_) {
     // Two-iterator merge over the cold tier and the resident slabs, in
@@ -611,6 +623,8 @@ BandwidthLog BandwidthLogStore::ReadView::fine_range(util::SimTime begin,
       }
     }
   }
+  core_->spill_bytes_verified.fetch_add(bytes_verified, std::memory_order_relaxed);
+  core_->rows_scanned.fetch_add(rows_scanned, std::memory_order_relaxed);
   // Stable sort by (timestamp, name rank): rows with equal keys share a
   // pair, hence a shard, hence their ingest order — so the merged output is
   // byte-identical to the single-shard store's.
@@ -653,6 +667,8 @@ LogStoreStats BandwidthLogStore::stats() const {
   s.open_window_samples = s.fine_records;
   s.spill_maps = core_->spill_maps.load(std::memory_order_relaxed);
   s.spill_unmaps = core_->spill_unmaps.load(std::memory_order_relaxed);
+  s.spill_bytes_verified = core_->spill_bytes_verified.load(std::memory_order_relaxed);
+  s.rows_scanned = core_->rows_scanned.load(std::memory_order_relaxed);
   s.views_acquired = core_->views_acquired.load(std::memory_order_relaxed);
   s.views_live = core_->views_live.load(std::memory_order_relaxed);
   s.coarse_summaries = core_->coarse_rows.size();

@@ -24,7 +24,9 @@
 // and the in-memory segment is freed, keeping only unsealed days resident.
 // fine_range() transparently maps spilled days back (util/MmapFile) and
 // merges them with the resident segments, so reads are byte-identical to a
-// store that never sealed anything. Re-ingest into an already-spilled day
+// store that never sealed anything. A read verifies and scans only the
+// spill blocks and resident chunks whose time bounds overlap its window,
+// so it costs the rows it returns, not the days it touches. Re-ingest into an already-spilled day
 // opens a fresh resident slab; the next seal writes a second generation
 // file, and reads merge generations in ingest order.
 //
@@ -83,6 +85,11 @@ struct LogStoreStats {
   /// Lifetime mapping traffic: spill files mapped / released by reads.
   std::uint64_t spill_maps = 0;
   std::uint64_t spill_unmaps = 0;
+  /// Lifetime read work: spill bytes checksummed by reads (headers, block
+  /// tables and the blocks a window touched), and fine rows scanned by
+  /// reads (the resident chunks and spilled blocks a window overlapped).
+  std::uint64_t spill_bytes_verified = 0;
+  std::uint64_t rows_scanned = 0;
   /// Snapshot read path: lifetime ReadViews acquired, and views alive now
   /// (each live view can pin retired day slabs in memory).
   std::uint64_t views_acquired = 0;
@@ -133,9 +140,10 @@ struct LogStoreConfig {
   /// Non-empty: created if missing; each store instance needs its own
   /// directory (file names are only unique per store).
   std::string spill_dir;
-  /// Verify the column checksum every time a spill file is mapped back.
-  /// Costs one pass over the file per map; disable only in benches that
-  /// isolate raw map+read cost.
+  /// Verify the checksum of every spill block a read touches (the header
+  /// and block table are always verified). Costs one pass over the touched
+  /// blocks per read; disable only in benches that isolate raw map+read
+  /// cost.
   bool spill_verify_checksum = true;
   /// Take over a spill directory whose pid lockfile is still present.
   /// Every store with a spill_dir writes a `LOCK` file on construction and
@@ -204,6 +212,8 @@ class BandwidthLogStore {
     /// state, so they stay atomics rather than joining a shard lock).
     std::atomic<std::uint64_t> spill_maps{0};
     std::atomic<std::uint64_t> spill_unmaps{0};
+    std::atomic<std::uint64_t> spill_bytes_verified{0};
+    std::atomic<std::uint64_t> rows_scanned{0};
     /// Listing-style serialized size of coarse_rows, bumped in lockstep with
     /// each push by the retention pass (the coarse_bytes gauge).
     std::atomic<std::uint64_t> coarse_bytes{0};
@@ -335,8 +345,8 @@ class BandwidthLogStore {
   /// (fresh store), and the same shard count as the writer — the filename
   /// carries the shard index, and PairId -> shard routing only matches
   /// under the same shard count. Every file is opened and validated
-  /// (magic, version, checksum) before registration. Returns the number of
-  /// fine records recovered.
+  /// (magic, version, header checksum and every block checksum) before
+  /// registration. Returns the number of fine records recovered.
   std::size_t recover_spill_files();
 
   /// All coarse summaries produced by retention passes so far. Quiesced

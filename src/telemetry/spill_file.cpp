@@ -1,9 +1,12 @@
 #include "telemetry/spill_file.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 namespace smn::telemetry {
 namespace {
@@ -14,30 +17,60 @@ namespace {
 static_assert(std::endian::native == std::endian::little,
               "spill files are little-endian; this host would need a swap path");
 
-constexpr std::uint64_t kMagic = 0x314C495053'4E4D53ull;  // "SMNSPIL1" LE
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 64;
+/// "SMNSPIL" in the low seven magic bytes; the eighth is the version digit.
+constexpr std::uint64_t kMagicFamily = 0x004C495053'4E4D53ull;
+constexpr std::uint64_t kMagicFamilyMask = 0x00FFFFFFFF'FFFFFFull;
+constexpr std::uint64_t kMagic = 0x324C495053'4E4D53ull;  // "SMNSPIL2" LE
+constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kHeaderBytes = 80;
+constexpr std::size_t kRowBytes = sizeof(util::SimTime) + sizeof(double) + sizeof(util::PairId);
 
 struct SpillHeader {
   std::uint64_t magic = kMagic;
   std::uint32_t version = kVersion;
-  std::uint32_t reserved = 0;
+  std::uint32_t block_rows = 0;
   std::uint64_t record_count = 0;
   std::int64_t day = 0;
+  std::uint64_t block_count = 0;
+  std::uint64_t off_blocks = 0;
   std::uint64_t off_timestamps = 0;
   std::uint64_t off_bandwidths = 0;
   std::uint64_t off_pairs = 0;
   std::uint64_t checksum = 0;
 };
 static_assert(sizeof(SpillHeader) == kHeaderBytes, "header layout drifted");
+constexpr std::size_t kChecksummedHeaderBytes = offsetof(SpillHeader, checksum);
 
-std::uint64_t column_checksum(std::span<const util::SimTime> timestamps,
-                              std::span<const double> bandwidths,
-                              std::span<const util::PairId> pairs) {
+static_assert(sizeof(SpillBlock) == 24, "block table entry drifted");
+
+/// The layout every v2 file of `n` rows in blocks of `block_rows` has.
+SpillHeader layout(std::size_t n, std::size_t block_rows, util::SimTime day) {
+  SpillHeader h;
+  h.block_rows = static_cast<std::uint32_t>(block_rows);
+  h.record_count = n;
+  h.day = day;
+  h.block_count = (n + block_rows - 1) / block_rows;
+  h.off_blocks = kHeaderBytes;
+  h.off_timestamps = h.off_blocks + h.block_count * sizeof(SpillBlock);
+  h.off_bandwidths = h.off_timestamps + n * sizeof(util::SimTime);
+  // The PairId column is last so every column start stays 8-byte aligned
+  // without padding (u32 tail needs none).
+  h.off_pairs = h.off_bandwidths + n * sizeof(double);
+  return h;
+}
+
+std::uint64_t header_checksum(const SpillHeader& h, const void* blocks) {
+  const std::uint64_t hash = fnv1a(kFnvOffsetBasis, &h, kChecksummedHeaderBytes);
+  return fnv1a(hash, blocks, h.block_count * sizeof(SpillBlock));
+}
+
+/// Checksum of rows [first, first + rows) across the three columns.
+std::uint64_t block_checksum(const util::SimTime* timestamps, const double* bandwidths,
+                             const util::PairId* pairs, std::size_t first, std::size_t rows) {
   std::uint64_t h = kFnvOffsetBasis;
-  h = fnv1a(h, timestamps.data(), timestamps.size_bytes());
-  h = fnv1a(h, bandwidths.data(), bandwidths.size_bytes());
-  h = fnv1a(h, pairs.data(), pairs.size_bytes());
+  h = fnv1a(h, timestamps + first, rows * sizeof(util::SimTime));
+  h = fnv1a(h, bandwidths + first, rows * sizeof(double));
+  h = fnv1a(h, pairs + first, rows * sizeof(util::PairId));
   return h;
 }
 
@@ -64,22 +97,27 @@ std::size_t write_spill_file(const std::string& path, util::SimTime day,
   if (bandwidths.size() != n || pairs.size() != n) {
     throw std::runtime_error("write_spill_file: column lengths differ for " + path);
   }
-  SpillHeader header;
-  header.record_count = n;
-  header.day = day;
-  header.off_timestamps = kHeaderBytes;
-  header.off_bandwidths = header.off_timestamps + n * sizeof(util::SimTime);
-  header.off_pairs = header.off_bandwidths + n * sizeof(double);
-  // The PairId column is last so every column start stays 8-byte aligned
-  // without padding (u32 tail needs none).
-  header.checksum = column_checksum(timestamps, bandwidths, pairs);
+  SpillHeader header = layout(n, kSpillBlockRows, day);
+  std::vector<SpillBlock> blocks(header.block_count);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::size_t first = b * kSpillBlockRows;
+    const std::size_t rows = std::min(kSpillBlockRows, n - first);
+    const auto [lo, hi] = std::minmax_element(timestamps.begin() + first,
+                                              timestamps.begin() + first + rows);
+    blocks[b] = SpillBlock{*lo, *hi,
+                           block_checksum(timestamps.data(), bandwidths.data(), pairs.data(),
+                                          first, rows)};
+  }
+  header.checksum = header_checksum(header, blocks.data());
   const std::size_t total = header.off_pairs + n * sizeof(util::PairId);
 
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) throw std::runtime_error("write_spill_file: cannot create " + tmp);
   const bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1 &&
-                  (n == 0 || (std::fwrite(timestamps.data(), sizeof(util::SimTime), n, f) == n &&
+                  (n == 0 || (std::fwrite(blocks.data(), sizeof(SpillBlock), blocks.size(), f) ==
+                                  blocks.size() &&
+                              std::fwrite(timestamps.data(), sizeof(util::SimTime), n, f) == n &&
                               std::fwrite(bandwidths.data(), sizeof(double), n, f) == n &&
                               std::fwrite(pairs.data(), sizeof(util::PairId), n, f) == n));
   const bool closed = std::fclose(f) == 0;
@@ -98,30 +136,77 @@ SpilledSegment SpilledSegment::open(const std::string& path, bool verify_checksu
                                     bool allow_mmap) {
   SpilledSegment out;
   out.map_ = util::MmapFile::open(path, allow_mmap);
-  if (out.map_.size() < kHeaderBytes) corrupt(path, "file shorter than the header");
+  out.path_ = path;
+  const std::size_t size = out.map_.size();
+  if (size < kHeaderBytes) corrupt(path, "file shorter than the header");
   SpillHeader header;
   std::memcpy(&header, out.map_.data(), sizeof(header));
-  if (header.magic != kMagic) corrupt(path, "bad magic (not a spill file)");
-  if (header.version != kVersion) corrupt(path, "unsupported version");
+  if ((header.magic & kMagicFamilyMask) != kMagicFamily) {
+    corrupt(path, "bad magic (not a spill file)");
+  }
+  if (header.magic != kMagic || header.version != kVersion) {
+    corrupt(path, "unsupported version");
+  }
+  // Bound the record count by the file size before any offset arithmetic,
+  // so a corrupt count cannot overflow the layout computation.
   const std::size_t n = header.record_count;
-  const std::size_t expect_bw = header.off_timestamps + n * sizeof(util::SimTime);
-  const std::size_t expect_pairs = expect_bw + n * sizeof(double);
-  const std::size_t expect_total = expect_pairs + n * sizeof(util::PairId);
-  if (header.off_timestamps != kHeaderBytes || header.off_bandwidths != expect_bw ||
-      header.off_pairs != expect_pairs || out.map_.size() != expect_total) {
+  if (header.block_rows == 0 || n > size / kRowBytes) {
     corrupt(path, "column offsets inconsistent with record count / file size");
   }
-  out.records_ = n;
-  out.day_ = header.day;
+  const SpillHeader expect = layout(n, header.block_rows, header.day);
+  if (header.block_count != expect.block_count || header.off_blocks != expect.off_blocks ||
+      header.off_timestamps != expect.off_timestamps ||
+      header.off_bandwidths != expect.off_bandwidths || header.off_pairs != expect.off_pairs ||
+      size != expect.off_pairs + n * sizeof(util::PairId)) {
+    corrupt(path, "column offsets inconsistent with record count / file size");
+  }
   const std::byte* base = out.map_.data();
+  if (header_checksum(header, base + header.off_blocks) != header.checksum) {
+    corrupt(path, "header checksum mismatch (corrupt header or block table)");
+  }
+  out.records_ = n;
+  out.block_rows_ = header.block_rows;
+  out.block_count_ = header.block_count;
+  out.header_bytes_ = header.off_timestamps;
+  out.day_ = header.day;
+  out.blocks_ = reinterpret_cast<const SpillBlock*>(base + header.off_blocks);
   out.timestamps_ = reinterpret_cast<const util::SimTime*>(base + header.off_timestamps);
   out.bandwidths_ = reinterpret_cast<const double*>(base + header.off_bandwidths);
   out.pairs_ = reinterpret_cast<const util::PairId*>(base + header.off_pairs);
-  if (verify_checksum &&
-      column_checksum(out.timestamps(), out.bandwidths(), out.pair_ids()) != header.checksum) {
-    corrupt(path, "checksum mismatch (corrupt columns)");
-  }
+  if (verify_checksum) out.verify();
   return out;
+}
+
+std::size_t SpilledSegment::verify_block(std::size_t b) const {
+  const std::size_t first = b * block_rows_;
+  const std::size_t rows = std::min(block_rows_, records_ - first);
+  if (block_checksum(timestamps_, bandwidths_, pairs_, first, rows) != blocks_[b].checksum) {
+    corrupt(path_, "block checksum mismatch (corrupt columns)");
+  }
+  return rows * kRowBytes;
+}
+
+std::size_t SpilledSegment::verify() const {
+  std::size_t bytes = 0;
+  for (std::size_t b = 0; b < block_count_; ++b) bytes += verify_block(b);
+  return bytes;
+}
+
+SpillReadStats SpilledSegment::emit_time_filtered(BandwidthLog* out, util::SimTime begin,
+                                                  util::SimTime end, bool verify) const {
+  SpillReadStats stats;
+  for (std::size_t b = 0; b < block_count_; ++b) {
+    // The block table passed the header checksum, so its bounds are the
+    // ones written: a block outside the window holds no row of it.
+    if (blocks_[b].max_timestamp < begin || blocks_[b].min_timestamp >= end) continue;
+    if (verify) stats.bytes_verified += verify_block(b);
+    const std::size_t first = b * block_rows_;
+    const std::size_t rows = std::min(block_rows_, records_ - first);
+    stats.rows_scanned += rows;
+    out->append_time_filtered(timestamps().subspan(first, rows), pair_ids().subspan(first, rows),
+                              bandwidths().subspan(first, rows), begin, end);
+  }
+  return stats;
 }
 
 }  // namespace smn::telemetry

@@ -1,21 +1,41 @@
 // On-disk format of one sealed (shard, day) fine segment — the cold tier
 // of the BandwidthLogStore (DESIGN.md §10). One file holds the three
 // columns of one day segment verbatim, so a mapped file reads back with
-// the exact spans the resident segment would have produced:
+// the exact spans the resident segment would have produced. The columns
+// are cut into blocks of kSpillBlockRows rows; a block table records each
+// block's time range and checksum, so a windowed read verifies and scans
+// only the blocks its window overlaps.
 //
-//   header (64 bytes, little-endian):
-//     magic           u64   0x31'4C'49'50'53'4E'4D'53 ("SMNSPIL1")
-//     version         u32   1
-//     reserved        u32   0
+//   header (80 bytes, little-endian):
+//     magic           u64   0x32'4C'49'50'53'4E'4D'53 ("SMNSPIL2")
+//     version         u32   2
+//     block_rows      u32   rows per block (the last block may be short)
 //     record_count    u64
 //     day             i64   day-segment start (SimTime seconds)
+//     block_count     u64   ceil(record_count / block_rows)
+//     off_blocks      u64   byte offset of the block table (= 80)
 //     off_timestamps  u64   byte offset of the SimTime column
 //     off_bandwidths  u64   byte offset of the double column
 //     off_pairs       u64   byte offset of the PairId column
-//     checksum        u64   FNV-1a 64 over the three column byte ranges,
-//                           in (timestamps, bandwidths, pairs) order
+//     checksum        u64   FNV-1a 64 over header bytes [0, 72) and then
+//                           the whole block table
+//   block table: block_count entries of 24 bytes —
+//     min_timestamp   i64   smallest timestamp of the block's rows
+//     max_timestamp   i64   largest timestamp of the block's rows
+//     checksum        u64   FNV-1a 64 over the block's byte ranges of the
+//                           three columns, in (timestamps, bandwidths,
+//                           pairs) order
 //   columns: SimTime[n], double[n], PairId[n] — each 8-byte aligned, in
 //   header order, so mapped pointers satisfy alignment sanitizers.
+//
+// What is verified when: open() checks the structure (magic, version,
+// offsets against record count and file size) and the header checksum, so
+// the block table it trusts is the one that was written. A windowed read
+// (emit_time_filtered) then verifies each block it scans before using its
+// rows; a block outside the window is neither read nor verified. verify()
+// checks every block — recovery and whole-file consumers use it. A file of
+// any other version (the unblocked v1 "SMNSPIL1" included) is rejected as
+// "unsupported version".
 //
 // Writes go through a `.tmp` sibling plus rename, so a crash mid-write
 // never leaves a half-file behind under the spill directory.
@@ -26,6 +46,7 @@
 #include <span>
 #include <string>
 
+#include "telemetry/bandwidth_log.h"
 #include "util/interner.h"
 #include "util/mmap_file.h"
 #include "util/sim_time.h"
@@ -40,6 +61,10 @@ inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
 /// CoarseExport wire format, which reuses these header conventions.
 std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t bytes);
 
+/// Rows per spill block: the StableLog chunk size, so a spilled day is cut
+/// where its resident slab was.
+inline constexpr std::size_t kSpillBlockRows = kFineChunkRows;
+
 /// Serializes one day segment's columns to `path` (atomically, via
 /// `path + ".tmp"` and rename). All three spans must have equal length.
 /// Returns the file size in bytes. Throws std::runtime_error on I/O
@@ -49,24 +74,54 @@ std::size_t write_spill_file(const std::string& path, util::SimTime day,
                              std::span<const double> bandwidths,
                              std::span<const util::PairId> pairs);
 
+/// One block-table entry, as stored (24 bytes).
+struct SpillBlock {
+  util::SimTime min_timestamp = 0;
+  util::SimTime max_timestamp = 0;
+  std::uint64_t checksum = 0;
+};
+
+/// Work done by one windowed read of a spilled segment.
+struct SpillReadStats {
+  std::size_t rows_scanned = 0;    ///< rows of the blocks the window overlaps
+  std::size_t bytes_verified = 0;  ///< column bytes of the blocks checksummed
+};
+
 /// A spill file mapped back into memory. The column accessors alias the
 /// mapping directly (zero-copy on the mmap path); the segment must outlive
 /// every span taken from it.
 class SpilledSegment {
  public:
-  /// Maps and validates `path`: magic, version, offsets/size coherence,
-  /// and (when `verify_checksum`) the column checksum. Throws
+  /// Maps and validates `path`: magic, version, offsets/size coherence and
+  /// the header checksum over the header and block table; with
+  /// `verify_checksum`, every block as well (verify()). Throws
   /// std::runtime_error on any mismatch — a corrupt spill file must never
   /// feed silent garbage into a fine_range() merge. `allow_mmap = false`
   /// forces the read() fallback (tests cover both paths).
   static SpilledSegment open(const std::string& path, bool verify_checksum = true,
                              bool allow_mmap = true);
 
+  /// Verifies every block's checksum; throws std::runtime_error on the
+  /// first mismatch. Returns the column bytes verified.
+  std::size_t verify() const;
+
+  /// Appends every row whose timestamp falls in [begin, end) onto `out`,
+  /// in file order, reading only the blocks whose time range overlaps the
+  /// window. With `verify`, each of those blocks is checksummed before its
+  /// rows are used (throws std::runtime_error on a mismatch).
+  SpillReadStats emit_time_filtered(BandwidthLog* out, util::SimTime begin, util::SimTime end,
+                                    bool verify) const;
+
   std::size_t record_count() const noexcept { return records_; }
   util::SimTime day() const noexcept { return day_; }
   std::size_t file_bytes() const noexcept { return map_.size(); }
+  /// Bytes covered by the header checksum (header plus block table), all
+  /// verified by open().
+  std::size_t header_bytes() const noexcept { return header_bytes_; }
   bool is_mapped() const noexcept { return map_.is_mapped(); }
 
+  /// Whole columns. Verified only when the segment was opened with
+  /// `verify_checksum` (or after verify()).
   std::span<const util::SimTime> timestamps() const noexcept {
     return {timestamps_, records_};
   }
@@ -74,9 +129,17 @@ class SpilledSegment {
   std::span<const util::PairId> pair_ids() const noexcept { return {pairs_, records_}; }
 
  private:
+  /// Checksums block `b`; throws on a mismatch. Returns its column bytes.
+  std::size_t verify_block(std::size_t b) const;
+
   util::MmapFile map_;
+  std::string path_;  ///< for error messages
   std::size_t records_ = 0;
+  std::size_t block_rows_ = 0;
+  std::size_t block_count_ = 0;
+  std::size_t header_bytes_ = 0;
   util::SimTime day_ = 0;
+  const SpillBlock* blocks_ = nullptr;
   const util::SimTime* timestamps_ = nullptr;
   const double* bandwidths_ = nullptr;
   const util::PairId* pairs_ = nullptr;

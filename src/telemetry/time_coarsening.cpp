@@ -10,17 +10,19 @@ namespace smn::telemetry {
 namespace {
 
 /// Emits one summary per bucket in (src name, dst name, window key) order —
-/// the exact order the old string-keyed std::map paths produced.
+/// the exact order the old string-keyed std::map paths produced. Bucket
+/// keys are distinct, so the sort is total; `key_less` ranks pairs through
+/// the id space's name-rank table.
 template <typename BucketMap, typename KeyLess, typename MakeSummary>
-CoarseBandwidthLog emit_sorted(const BucketMap& buckets, std::span<const util::PairId> pairs,
-                               KeyLess key_less, MakeSummary make_summary) {
+CoarseBandwidthLog emit_sorted(const BucketMap& buckets, KeyLess key_less,
+                               MakeSummary make_summary) {
   using Key = typename BucketMap::key_type;
   std::vector<Key> keys;
   keys.reserve(buckets.size());
   for (const auto& [key, _] : buckets) keys.push_back(key);
-  const auto rank = pair_name_ranks(pairs);
-  std::sort(keys.begin(), keys.end(),
-            [&](const Key& a, const Key& b) { return key_less(a, b, rank); });
+  const auto ranks = util::IdSpace::global().pair_ranks();
+  const auto less = [&](const Key& a, const Key& b) { return key_less(a, b, *ranks); };
+  if (!std::is_sorted(keys.begin(), keys.end(), less)) std::sort(keys.begin(), keys.end(), less);
   CoarseBandwidthLog coarse;
   for (const Key& key : keys) {
     coarse.append(make_summary(key, util::summarize(buckets.at(key))));
@@ -128,11 +130,10 @@ CoarseBandwidthLog TimeCoarsener::coarsen(const BandwidthLog& fine) const {
     buckets[key].push_back(bw[i]);
   }
   return emit_sorted(
-      buckets, pairs,
-      [](std::uint64_t a, std::uint64_t b,
-         const std::unordered_map<util::PairId, std::uint32_t>& rank) {
-        const auto pa = rank.at(static_cast<util::PairId>(a >> 32));
-        const auto pb = rank.at(static_cast<util::PairId>(b >> 32));
+      buckets,
+      [](std::uint64_t a, std::uint64_t b, const util::PairRankTable& rank) {
+        const auto pa = rank[static_cast<util::PairId>(a >> 32)];
+        const auto pb = rank[static_cast<util::PairId>(b >> 32)];
         if (pa != pb) return pa < pb;
         return (a & 0xFFFFFFFFu) < (b & 0xFFFFFFFFu);
       },
@@ -215,11 +216,10 @@ CoarseBandwidthLog NestedTimeCoarsener::coarsen(const BandwidthLog& fine) const 
     buckets[Key{pairs[i], window_start, window}].push_back(bw[i]);
   }
   return emit_sorted(
-      buckets, pairs,
-      [](const Key& a, const Key& b,
-         const std::unordered_map<util::PairId, std::uint32_t>& rank) {
-        const auto pa = rank.at(a.pair);
-        const auto pb = rank.at(b.pair);
+      buckets,
+      [](const Key& a, const Key& b, const util::PairRankTable& rank) {
+        const auto pa = rank[a.pair];
+        const auto pb = rank[b.pair];
         if (pa != pb) return pa < pb;
         if (a.window_start != b.window_start) return a.window_start < b.window_start;
         return a.window_length < b.window_length;

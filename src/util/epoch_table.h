@@ -89,6 +89,13 @@ class EpochTable {
     slot_for(size_.load(std::memory_order_relaxed) + offset) = std::move(value);
   }
 
+  /// Writer-side reference to element `i` (at most the next unpublished
+  /// index), allocating its chunk on first touch, with no store and no
+  /// publish — for element types the writer updates in place through
+  /// atomics (telemetry::StableLog's per-chunk time bounds). Publish new
+  /// elements with publish().
+  T& writer_slot(std::size_t i) { return slot_for(i); }
+
   /// Publishes `count` staged elements.
   void publish(std::size_t count) {
     size_.store(size_.load(std::memory_order_relaxed) + count, std::memory_order_release);

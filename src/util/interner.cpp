@@ -1,7 +1,10 @@
 #include "util/interner.h"
 
+#include <algorithm>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "util/contracts.h"
 
@@ -92,10 +95,63 @@ std::optional<PairId> IdSpace::find_pair_of_names(std::string_view src,
 
 bool IdSpace::pair_name_less(PairId a, PairId b) const {
   if (a == b) return false;
+  name_comparisons_.fetch_add(1, std::memory_order_relaxed);
   const std::string& sa = src_name(a);
   const std::string& sb = src_name(b);
   if (sa != sb) return sa < sb;
   return dst_name(a) < dst_name(b);
+}
+
+std::shared_ptr<const PairRankTable> IdSpace::pair_ranks() const {
+  // Pair count first: every pair below it references DCs below dc_count.
+  const IdSpaceSnapshot snap = snapshot();
+  std::lock_guard<std::mutex> lock(rank_mutex_);
+  if (ranks_ && ranks_->size() >= snap.pair_count) return ranks_;
+  auto next = std::make_shared<PairRankTable>();
+  // New DCs can sort between old ones and shift every pair's key, so they
+  // re-rank all pairs; new pairs alone are merged into the old order.
+  const bool dcs_grew = !ranks_ || ranks_->dc_rank_.size() < snap.dc_count;
+  if (dcs_grew) {
+    std::vector<DcId> dcs(snap.dc_count);
+    std::iota(dcs.begin(), dcs.end(), DcId{0});
+    std::sort(dcs.begin(), dcs.end(), [this](DcId a, DcId b) {
+      name_comparisons_.fetch_add(1, std::memory_order_relaxed);
+      return dcs_.name(a) < dcs_.name(b);
+    });
+    next->dc_rank_.resize(dcs.size());
+    for (std::size_t i = 0; i < dcs.size(); ++i) {
+      next->dc_rank_[dcs[i]] = static_cast<std::uint32_t>(i);
+    }
+  } else {
+    next->dc_rank_ = ranks_->dc_rank_;
+  }
+  const auto key = [&](PairId p) {
+    return (static_cast<std::uint64_t>(next->dc_rank_[pairs_.src(p)]) << 32) |
+           next->dc_rank_[pairs_.dst(p)];
+  };
+  const std::size_t covered = dcs_grew ? 0 : ranks_->size();
+  std::vector<std::pair<std::uint64_t, PairId>> fresh;
+  fresh.reserve(snap.pair_count - covered);
+  for (std::size_t p = covered; p < snap.pair_count; ++p) {
+    fresh.emplace_back(key(static_cast<PairId>(p)), static_cast<PairId>(p));
+  }
+  std::sort(fresh.begin(), fresh.end());
+  const std::vector<PairId> none;
+  const std::vector<PairId>& prior = covered > 0 ? ranks_->order_ : none;
+  next->order_.reserve(snap.pair_count);
+  std::size_t o = 0;
+  for (const auto& [fresh_key, pair] : fresh) {
+    while (o < prior.size() && key(prior[o]) < fresh_key) next->order_.push_back(prior[o++]);
+    next->order_.push_back(pair);
+  }
+  next->order_.insert(next->order_.end(), prior.begin() + static_cast<std::ptrdiff_t>(o),
+                      prior.end());
+  next->rank_.resize(snap.pair_count);
+  for (std::size_t i = 0; i < next->order_.size(); ++i) {
+    next->rank_[next->order_[i]] = static_cast<std::uint32_t>(i);
+  }
+  ranks_ = std::move(next);
+  return ranks_;
 }
 
 }  // namespace smn::util

@@ -17,12 +17,17 @@
 // hash index and take a shared lock, first-time interning an exclusive one.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "util/epoch_table.h"
 #include "util/thread_annotations.h"
@@ -108,6 +113,31 @@ struct IdSpaceSnapshot {
   std::size_t dc_count = 0;
 };
 
+/// Name order on pairs as a dense rank per PairId: `rank(a) < rank(b)`
+/// exactly when IdSpace::pair_name_less(a, b). A published table is
+/// immutable, so readers share it without a lock; IdSpace::pair_ranks()
+/// hands out one that covers every pair interned so far. Pair name order
+/// is (src name, dst name), so the table is built from the name order of
+/// the datacenters alone: pairs are ordered by their two DC ranks.
+class PairRankTable {
+ public:
+  /// Pairs covered: ids [0, size()).
+  std::size_t size() const noexcept { return rank_.size(); }
+
+  /// Dense name rank of `pair`. Throws std::out_of_range on an id the
+  /// table does not cover (an id not interned when it was built).
+  std::uint32_t operator[](PairId pair) const {
+    if (pair >= rank_.size()) throw std::out_of_range("PairRankTable: pair not covered");
+    return rank_[pair];
+  }
+
+ private:
+  friend class IdSpace;
+  std::vector<std::uint32_t> dc_rank_;  ///< [DcId] -> position in DC name order
+  std::vector<PairId> order_;           ///< covered pair ids in name order
+  std::vector<std::uint32_t> rank_;     ///< [PairId] -> position in order_
+};
+
 /// The shared id space: one Interner for datacenter/group names plus one
 /// PairInterner over those ids. Topology, telemetry, and TE all resolve
 /// through the process-wide `global()` instance so a PairId minted at
@@ -147,9 +177,28 @@ class IdSpace {
   /// id-based paths sort with it to keep output byte-identical. Lock-free.
   bool pair_name_less(PairId a, PairId b) const;
 
+  /// The same order as a dense rank table covering at least every pair
+  /// interned before the call. The table is rebuilt only when
+  /// pair_count() has grown since the last one. A rebuild compares names
+  /// only when dc_count() has grown too (it then re-sorts the DC names);
+  /// otherwise the new pairs are ordered by their DC ranks and merged into
+  /// the previous order. Sorts that rank through it make no string
+  /// comparison once it covers their pairs. Thread-safe.
+  std::shared_ptr<const PairRankTable> pair_ranks() const SMN_EXCLUDES(rank_mutex_);
+
+  /// Lifetime DC-name string comparisons made by pair_name_less() and by
+  /// rank-table rebuilds: the name-ordering work count.
+  std::uint64_t name_comparisons() const noexcept {
+    return name_comparisons_.load(std::memory_order_relaxed);
+  }
+
  private:
   Interner dcs_;
   PairInterner pairs_;
+  /// Serializes rank-table rebuilds and guards the published table.
+  mutable std::mutex rank_mutex_;
+  mutable std::shared_ptr<const PairRankTable> ranks_ SMN_GUARDED_BY(rank_mutex_);
+  mutable std::atomic<std::uint64_t> name_comparisons_{0};
 };
 
 }  // namespace smn::util

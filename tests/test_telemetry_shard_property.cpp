@@ -12,6 +12,14 @@
 // spill/resident boundary, and after re-ingest into an already-spilled day
 // — must stay byte-identical to a store that never sealed anything.
 //
+// Reads cost the rows they return: spill blocks and resident chunks whose
+// time bounds miss a window are skipped. Random windows over resident and
+// spilled days — with out-of-order rows, a second spill generation and
+// pairs interned between reads — must still equal the single-shard store,
+// a 15-minute spilled read verifies at most 5% of its day's spill bytes,
+// and a read whose pairs the name-rank table already covers makes no
+// name string comparison.
+//
 // stats() keeps its byte gauges as running counts; the reference
 // estimators they replaced (BandwidthLog::approximate_bytes over the
 // resident rows, CoarseBandwidthLog::approximate_bytes over coarse()) pin
@@ -19,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -439,6 +448,129 @@ TEST(StatsGaugeProperty, RunningCountsMatchReferenceEstimators) {
       expect_stats_match_reference(store, BandwidthLog{});
     }
   }
+}
+
+/// Cold-tier config whose directory starts empty (leftovers of an earlier
+/// run would hold a stale LOCK or stale generation files).
+LogStoreConfig fresh_spill_config(std::size_t shards, std::size_t threads,
+                                  const std::string& subdir) {
+  LogStoreConfig config = spill_config(shards, threads, subdir);
+  std::filesystem::remove_all(config.spill_dir);
+  return config;
+}
+
+/// fine_range over `windows` random windows of [0, horizon): lengths from
+/// one epoch to two days, starts anywhere (including before the data).
+void expect_random_windows_identical(const BandwidthLogStore& store,
+                                     const BandwidthLogStore& reference, util::SimTime horizon,
+                                     std::uint64_t seed, int windows) {
+  util::Rng rng(seed);
+  const util::SimTime lengths[] = {util::kTelemetryEpoch, 15 * util::kMinute, util::kHour,
+                                   7 * util::kHour, util::kDay, 2 * util::kDay};
+  for (int w = 0; w < windows; ++w) {
+    const util::SimTime begin = rng.uniform_int(-util::kHour, horizon);
+    const util::SimTime end = begin + lengths[rng.uniform_int(0, 5)];
+    SCOPED_TRACE("window [" + std::to_string(begin) + ", " + std::to_string(end) + ")");
+    expect_logs_identical(store.fine_range(begin, end), reference.fine_range(begin, end));
+  }
+}
+
+TEST(ReadPathProperty, RandomWindowsMatchSingleShardAcrossTiers) {
+  const util::SimTime now = 4 * util::kDay;
+  const BandwidthLog stream = multi_day_stream(1313, 6000, 4);  // out-of-order within days
+  const BandwidthLog late = random_stream(1414, 3000);           // lands in spilled day 0
+  BandwidthLogStore reference(util::kHour);  // one shard, never sealed
+  reference.ingest(stream);
+  BandwidthLogStore store(fresh_spill_config(8, 2, "random_windows"));
+  store.ingest(stream);
+
+  // Days 0..2 spill; day 3 stays resident.
+  store.coarsen_older_than(now, util::kDay, util::kHour);
+  ASSERT_GT(store.stats().spilled_files, 0u);
+  expect_random_windows_identical(store, reference, now, 1, 60);
+
+  // Re-ingest into the spilled day, then seal again: day 0 gains
+  // generation-2 files behind generation 1.
+  reference.ingest(late);
+  store.ingest(late);
+  expect_random_windows_identical(store, reference, now, 2, 60);
+  const std::size_t files_before = store.stats().spilled_files;
+  store.coarsen_older_than(now, util::kDay, util::kHour);
+  ASSERT_GT(store.stats().spilled_files, files_before);
+  expect_random_windows_identical(store, reference, now, 3, 60);
+
+  // Pairs interned between two reads, named to sort before every pair so
+  // far: the rank table grows and every earlier rank shifts.
+  util::IdSpace& ids = util::IdSpace::global();
+  const std::size_t covered = ids.pair_ranks()->size();
+  BandwidthLog fresh;
+  for (int p = 0; p < 5; ++p) {
+    const util::PairId pair = ids.pair_of_names("aaa-read-src" + std::to_string(p), "aaa-read-dst");
+    for (util::SimTime t = 3 * util::kDay; t < now; t += util::kHour) {
+      fresh.append(t + p, pair, 10.0 + p);
+    }
+  }
+  reference.ingest(fresh);
+  store.ingest(fresh);
+  expect_random_windows_identical(store, reference, now, 4, 60);
+  EXPECT_GT(ids.pair_ranks()->size(), covered);
+}
+
+TEST(ReadWorkProperty, FifteenMinuteSpilledReadVerifiesAtMostFivePercentOfItsDay) {
+  // Benchmark density: the 308-DC WAN, 1000 pairs at five-minute epochs,
+  // eight shards. Day 0 spills; each 15-minute read of it must checksum at
+  // most 5% of the day's spill bytes (headers and block tables included).
+  const topology::WanTopology wan = topology::generate_planetary_wan({});
+  TrafficConfig config;
+  config.duration = util::kDay;
+  config.active_pairs = 1000;
+  config.seed = 91;
+  const BandwidthLog fine = TrafficGenerator(wan, config).generate();
+  BandwidthLogStore reference(util::kHour);
+  reference.ingest(fine);
+  BandwidthLogStore store(fresh_spill_config(8, 1, "verify_budget"));
+  store.ingest(fine);
+  store.coarsen_older_than(util::kDay, 0, util::kHour);
+  const LogStoreStats sealed = store.stats();
+  ASSERT_EQ(sealed.spilled_records, fine.record_count());
+  const double day_bytes = static_cast<double>(sealed.spilled_bytes);
+
+  std::uint64_t verified = sealed.spill_bytes_verified;
+  std::uint64_t scanned = sealed.rows_scanned;
+  for (util::SimTime begin = 0; begin < util::kDay; begin += 15 * util::kMinute) {
+    SCOPED_TRACE("window at " + std::to_string(begin));
+    const util::SimTime end = begin + 15 * util::kMinute;
+    const BandwidthLog got = store.fine_range(begin, end);
+    expect_logs_identical(got, reference.fine_range(begin, end));
+    const LogStoreStats after = store.stats();
+    EXPECT_LE(static_cast<double>(after.spill_bytes_verified - verified), 0.05 * day_bytes);
+    // Scanned rows are the returned rows plus at most two partial blocks
+    // per spill file.
+    EXPECT_LE(after.rows_scanned - scanned,
+              got.record_count() + 2 * kFineChunkRows * sealed.spilled_files);
+    verified = after.spill_bytes_verified;
+    scanned = after.rows_scanned;
+  }
+}
+
+TEST(ReadWorkProperty, CoveredReadsMakeNoNameComparison) {
+  const util::SimTime now = 3 * util::kDay;
+  const BandwidthLog stream = multi_day_stream(1515, 4000, 3);
+  BandwidthLogStore store(fresh_spill_config(4, 2, "rank_covered"));
+  store.ingest(stream);
+  store.coarsen_older_than(now, util::kDay, util::kHour);
+  util::IdSpace& ids = util::IdSpace::global();
+  ids.pair_ranks();  // cover every pair interned so far
+
+  const std::uint64_t before = ids.name_comparisons();
+  // Spilled, resident and straddling reads, a streaming retention merge
+  // and a batch coarsening: every sort ranks through the covering table.
+  store.fine_range(0, util::kDay);
+  store.fine_range(2 * util::kDay, now);
+  store.fine_range(util::kDay / 2, 2 * util::kDay + util::kHour);
+  store.coarsen_older_than(now + util::kDay, util::kDay, util::kHour);
+  TimeCoarsener(util::kHour).coarsen(stream);
+  EXPECT_EQ(ids.name_comparisons(), before);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,6 +74,35 @@ TEST(IdSpace, PairNameLessIsNameOrderNotIdOrder) {
   EXPECT_TRUE(ids.pair_name_less(aa, zz));
   EXPECT_FALSE(ids.pair_name_less(zz, aa));
   EXPECT_FALSE(ids.pair_name_less(aa, aa));
+}
+
+TEST(IdSpace, PairRanksFollowNameOrderAcrossGrowth) {
+  IdSpace& ids = IdSpace::global();
+  const auto expect_name_order = [&] {
+    const auto ranks = ids.pair_ranks();
+    ASSERT_GE(ranks->size(), ids.pair_count());
+    std::vector<PairId> by_rank(ranks->size());
+    for (PairId p = 0; p < ranks->size(); ++p) by_rank[(*ranks)[p]] = p;
+    for (std::size_t i = 1; i < by_rank.size(); ++i) {
+      ASSERT_TRUE(ids.pair_name_less(by_rank[i - 1], by_rank[i])) << "rank " << i;
+    }
+  };
+  for (int i = 0; i < 6; ++i) {
+    ids.pair_of_names("rank-m" + std::to_string(i), "rank-m" + std::to_string(5 - i));
+  }
+  expect_name_order();
+  // New pairs over known DCs: merged into the previous order.
+  const auto before = ids.pair_ranks();
+  const PairId added = ids.pair_of_names("rank-m1", "rank-m2");
+  EXPECT_THROW((*before)[added], std::out_of_range);
+  const std::uint64_t comparisons = ids.name_comparisons();
+  ids.pair_ranks();
+  EXPECT_EQ(ids.name_comparisons(), comparisons);  // no DC was added: no name compared
+  expect_name_order();
+  // A new DC sorting before every other one re-ranks every pair.
+  ids.pair_of_names("rank-a", "rank-m3");
+  ids.pair_of_names("rank-m3", "rank-a");
+  expect_name_order();
 }
 
 TEST(Interner, ConcurrentInterningIsConsistent) {

@@ -126,6 +126,12 @@ POLICIES: dict[str, dict[str, list]] = {
             "fidelity.straddle_identical",
             "fidelity.coarse_identical",
             "fidelity.reduction_ok",
+            "fidelity.window_identical",
+            "window_read.records",
+            "window_read.rows_scanned",
+            "window_read.bytes_verified",
+            "window_read.day_spill_bytes",
+            "window_read.verified_fraction",
         ],
         "ratio": [
             ("cold_read.spilled_day_records_per_s", "cold_read.spilled_day_ms"),
