@@ -1,4 +1,4 @@
-// PR-5 storage bench — the mmap spill tier under the sharded
+// PR-5 storage bench — the spill tier under the sharded
 // BandwidthLogStore on a multi-day ~308-DC planetary WAN workload (four
 // days of 5-minute epochs, ~2.3M records). Ingests the same log into an
 // all-resident store (never sealed — the fine_range ground truth and the
@@ -7,9 +7,9 @@
 //
 //   * resident fine-segment memory before vs after the seal (the demotion
 //     win; gated at >= 3x with three of four days spilled),
-//   * cold-read latency: fine_range() over one spilled day (each call maps
-//     the day's column files back, checksum verified) vs the same day read
-//     from the all-resident store,
+//   * cold-read latency: fine_range() over one spilled day (each call opens
+//     the day's column files and reads them back, checksum verified) vs the
+//     same day read from the all-resident store,
 //   * a 15-minute read of a spilled day, with its work counts: the spill
 //     bytes it checksummed (against the day's spill bytes) and the rows it
 //     scanned — the read verifies only the blocks its window overlaps,
@@ -164,8 +164,8 @@ int main(int argc, char** argv) {
   const bool straddle_identical = logs_identical(spilled.fine_range(straddle_lo, straddle_hi),
                                                  reference.fine_range(straddle_lo, straddle_hi));
 
-  // --- Cold-read latency: one spilled day via map-back vs the same day
-  // all-resident. Every call re-maps (nothing is cached between reads), so
+  // --- Cold-read latency: one spilled day read back vs the same day
+  // all-resident. Every call re-opens (nothing is cached between reads), so
   // this is the steady-state cost of touching the cold tier. ---
   double spilled_day_ms = std::numeric_limits<double>::infinity();
   double resident_day_ms = std::numeric_limits<double>::infinity();

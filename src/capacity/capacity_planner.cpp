@@ -1,11 +1,10 @@
 #include "capacity/capacity_planner.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
 #include "core/fidelity.h"
 #include "graph/shortest_path.h"
+#include "telemetry/pair_groups.h"
 
 namespace smn::capacity {
 
@@ -21,43 +20,48 @@ UtilizationSeries CapacityPlanner::compute_utilization(
   UtilizationSeries series;
   const graph::Digraph& g = wan_.graph();
 
+  // Epoch index: the distinct timestamps, ascending. Rows come in runs of
+  // one timestamp (a shipment's epoch, in either read order), so only the
+  // first row of each run is collected and sorted.
   const auto timestamps = log.timestamps();
-  const auto pairs = log.pair_ids();
-  const auto bw = log.bandwidths();
-
-  // Epoch index.
-  std::map<util::SimTime, std::size_t> epoch_index;
-  for (const util::SimTime ts : timestamps) epoch_index.emplace(ts, 0);
-  std::size_t idx = 0;
-  for (auto& [ts, i] : epoch_index) {
-    i = idx++;
-    series.epochs.push_back(ts);
+  for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    if (i == 0 || timestamps[i] != timestamps[i - 1]) series.epochs.push_back(timestamps[i]);
   }
+  std::sort(series.epochs.begin(), series.epochs.end());
+  series.epochs.erase(std::unique(series.epochs.begin(), series.epochs.end()),
+                      series.epochs.end());
   const std::size_t epochs = series.epochs.size();
   series.by_link.assign(wan_.link_count(), std::vector<double>(epochs, 0.0));
   if (epochs == 0) return series;
 
-  // Shortest-path cache keyed by interned pair id: resolving datacenters
-  // and routing happens once per distinct pair, not once per record.
+  // Pairs in name order, each pair's rows in timestamp order: every
+  // (edge, epoch) cell then adds its terms in the order a row-by-row pass
+  // over the (timestamp, name)-sorted log adds them, so the sums are
+  // bit-identical to that pass whatever order the rows arrive in. Each pair
+  // is resolved and routed once.
   const util::IdSpace& ids = util::IdSpace::global();
-  std::unordered_map<util::PairId, std::vector<graph::EdgeId>> path_cache;
-  // Per-edge load per epoch, accumulated lazily.
+  const telemetry::PairGroups groups(log);
+  // Per-edge load per epoch.
   std::vector<std::vector<double>> edge_load(g.edge_count(), std::vector<double>(epochs, 0.0));
-
-  for (std::size_t i = 0; i < log.record_count(); ++i) {
-    auto it = path_cache.find(pairs[i]);
-    if (it == path_cache.end()) {
-      const auto src = wan_.node_of(ids.pair_src(pairs[i]));
-      const auto dst = wan_.node_of(ids.pair_dst(pairs[i]));
-      std::vector<graph::EdgeId> edges;
-      if (src && dst && *src != *dst) {
-        if (const auto path = graph::shortest_path(g, *src, *dst)) edges = path->edges;
+  for (const std::uint32_t k : groups.name_order()) {
+    const util::PairId pair = groups.pair(k);
+    const auto src = wan_.node_of(ids.pair_src(pair));
+    const auto dst = wan_.node_of(ids.pair_dst(pair));
+    if (!src || !dst || *src == *dst) continue;
+    const auto path = graph::shortest_path(g, *src, *dst);
+    if (!path || path->edges.empty()) continue;
+    const auto ts = groups.timestamps(k);
+    const auto bw = groups.bandwidths(k);
+    // The pair's timestamps ascend, so its epoch index only moves forward,
+    // mostly to the next epoch.
+    auto epoch = series.epochs.begin();
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      if (*epoch != ts[i] && *++epoch != ts[i]) {
+        epoch = std::lower_bound(epoch, series.epochs.end(), ts[i]);
       }
-      it = path_cache.emplace(pairs[i], std::move(edges)).first;
+      const auto e_idx = static_cast<std::size_t>(epoch - series.epochs.begin());
+      for (const graph::EdgeId e : path->edges) edge_load[e][e_idx] += bw[i];
     }
-    if (it->second.empty()) continue;
-    const std::size_t e_idx = epoch_index.at(timestamps[i]);
-    for (const graph::EdgeId e : it->second) edge_load[e][e_idx] += bw[i];
   }
 
   for (std::size_t li = 0; li < wan_.link_count(); ++li) {

@@ -79,8 +79,12 @@ class CapacityPlanner {
   /// The planner keeps a reference to the topology; temporaries would dangle.
   CapacityPlanner(topology::WanTopology&&, PlannerConfig) = delete;
 
-  /// Routes each epoch's records along (cached) shortest paths and derives
-  /// link utilizations. Records naming unknown datacenters are ignored.
+  /// Routes each epoch's records along shortest paths (one per pair) and
+  /// derives link utilizations. Records naming unknown datacenters are
+  /// ignored. Each (edge, epoch) load sums its terms in (pair name, row)
+  /// order, as a pass over the (timestamp, name)-sorted log would, so the
+  /// sorted fine_range() read and the same rows in storage order give
+  /// bit-identical series.
   UtilizationSeries compute_utilization(const telemetry::BandwidthLog& log) const;
 
   /// Plans from a fine-grained log.

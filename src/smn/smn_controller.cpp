@@ -207,7 +207,11 @@ std::size_t SmnController::run_retention(util::SimTime now) {
 }
 
 telemetry::BandwidthLog SmnController::recent_bandwidth(util::SimTime now) const {
-  return core_.store().fine_range(now - util::kMonth < 0 ? 0 : now - util::kMonth, now);
+  // Storage order, unsorted: every consumer groups the rows by pair
+  // (telemetry/pair_groups.h), which yields the sorted read's per-pair
+  // sequences, so the sort would buy nothing but time.
+  return core_.store().read_view().storage_range(
+      now - util::kMonth < 0 ? 0 : now - util::kMonth, now);
 }
 
 capacity::CapacityPlan SmnController::finish_planning(const telemetry::BandwidthLog& recent,

@@ -188,7 +188,10 @@ class SmnController {
   static std::vector<ParadigmComparison> sdn_vs_smn();
 
  private:
-  /// The trailing-month fine slice both planning passes estimate from.
+  /// The trailing-month fine slice both planning passes estimate from, in
+  /// storage order (ReadView::storage_range): the demand estimators and
+  /// the capacity planner give bit-identical results on it and on the
+  /// sorted fine_range() of the same month.
   telemetry::BandwidthLog recent_bandwidth(util::SimTime now) const;
   /// Shared planning tail: records the solve time (min-interval guard +
   /// gauge) and runs the CLTO capacity planner over `recent`.

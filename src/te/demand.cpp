@@ -1,8 +1,10 @@
 #include "te/demand.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
+#include "telemetry/pair_groups.h"
 #include "util/contracts.h"
 #include "util/stats.h"
 
@@ -34,22 +36,14 @@ double DemandMatrix::total_gbps() const noexcept {
 
 DemandMatrix DemandMatrix::from_log(const telemetry::BandwidthLog& log, DemandStatistic stat) {
   // Group the columnar log by pair id — no string materialization.
-  std::unordered_map<util::PairId, std::vector<double>> series;
-  const auto pairs = log.pair_ids();
-  const auto bw = log.bandwidths();
-  for (std::size_t i = 0; i < log.record_count(); ++i) {
-    series[pairs[i]].push_back(bw[i]);
-  }
-  std::vector<util::PairId> keys;
-  keys.reserve(series.size());
-  for (const auto& [pair, _] : series) keys.push_back(pair);
+  const telemetry::PairGroups groups(log);
   DemandMatrix matrix;
-  for (const util::PairId pair : name_sorted(std::move(keys))) {
-    const util::Summary s = util::summarize(series.at(pair));
+  for (const std::uint32_t g : groups.name_order()) {
+    const util::Summary s = util::summarize(groups.bandwidths(g));
     double value = s.mean;
     if (stat == DemandStatistic::kP95) value = s.p95;
     if (stat == DemandStatistic::kMax) value = s.max;
-    matrix.add(make_entry(pair, value));
+    matrix.add(make_entry(groups.pair(g), value));
   }
   return matrix;
 }
@@ -89,22 +83,20 @@ DemandMatrix DemandMatrix::from_forecast(const telemetry::BandwidthLog& log,
                                          std::size_t horizon, telemetry::ForecastMethod method,
                                          const telemetry::ForecastOptions& options) {
   SMN_CHECK(horizon > 0, "from_forecast: horizon must be positive");
-  // One scan of the log yields every pair's dense series; the forecasts
-  // themselves are per-pair and independent.
+  // One grouping pass over the log yields every pair's dense series (in
+  // PairId order); the forecasts themselves are per-pair and independent.
   const std::vector<std::pair<util::PairId, telemetry::Series>> all =
       telemetry::extract_all_series(log);
-  std::vector<util::PairId> keys;
-  keys.reserve(all.size());
-  std::unordered_map<util::PairId, const telemetry::Series*> series_of;
-  series_of.reserve(all.size());
-  for (const auto& [pair, series] : all) {
-    keys.push_back(pair);
-    series_of.emplace(pair, &series);
-  }
+  std::vector<std::size_t> order(all.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto ranks = util::IdSpace::global().pair_ranks();
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return (*ranks)[all[a].first] < (*ranks)[all[b].first];
+  });
   DemandMatrix matrix;
   std::vector<double> predicted;
-  for (const util::PairId pair : name_sorted(std::move(keys))) {
-    const telemetry::Series& series = *series_of.at(pair);
+  for (const std::size_t i : order) {
+    const auto& [pair, series] = all[i];
     if (series.values.empty()) continue;
     predicted = telemetry::forecast(series, horizon, method, options);
     double mean = 0.0;

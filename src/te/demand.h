@@ -42,6 +42,8 @@ class DemandMatrix {
   double total_gbps() const noexcept;
 
   /// Estimates a matrix from a fine log: per pair, `stat` over all epochs.
+  /// Only each pair's own rows matter, so a log in storage order gives the
+  /// same matrix as the same rows sorted.
   static DemandMatrix from_log(const telemetry::BandwidthLog& log, DemandStatistic stat);
 
   /// Estimates a matrix from coarse window summaries: per pair, the

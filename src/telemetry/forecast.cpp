@@ -4,24 +4,27 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "telemetry/pair_groups.h"
 #include "util/contracts.h"
 
 namespace smn::telemetry {
 namespace {
 
-/// Turns one pair's (timestamp -> bandwidth) points into a dense series:
-/// the shared back half of every extract_series flavor.
-Series densify(const std::map<util::SimTime, double>& points, util::SimTime epoch) {
+/// Turns one pair's points — timestamps non-decreasing, rows with equal
+/// timestamps in log order — into a dense series: the shared back half of
+/// every extract_series flavor. A later point overwrites an earlier one in
+/// the same epoch, so duplicate timestamps resolve last-wins.
+Series densify(std::span<const util::SimTime> timestamps, std::span<const double> values,
+               util::SimTime epoch) {
   Series series;
   series.epoch = epoch;
-  if (points.empty()) return series;
-  series.start = points.begin()->first;
-  const util::SimTime last = points.rbegin()->first;
+  if (timestamps.empty()) return series;
+  series.start = timestamps.front();
+  const util::SimTime last = timestamps.back();
   const auto n = static_cast<std::size_t>((last - series.start) / epoch) + 1;
   series.values.assign(n, std::numeric_limits<double>::quiet_NaN());
-  for (const auto& [t, v] : points) {
-    const auto idx = static_cast<std::size_t>((t - series.start) / epoch);
-    if (idx < n) series.values[idx] = v;
+  for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    series.values[static_cast<std::size_t>((timestamps[i] - series.start) / epoch)] = values[i];
   }
   // Fill gaps: linear interpolation between known neighbors.
   std::size_t prev_known = 0;
@@ -68,34 +71,30 @@ Series extract_series(const BandwidthLog& log, const std::string& src, const std
 
 Series extract_series(const BandwidthLog& log, util::PairId pair, util::SimTime epoch) {
   if (epoch <= 0) throw std::invalid_argument("extract_series: epoch must be positive");
-  std::map<util::SimTime, double> points;
+  BandwidthLog rows;
   if (pair != util::kInvalidPairId) {
     const auto timestamps = log.timestamps();
     const auto pairs = log.pair_ids();
     const auto bw = log.bandwidths();
     for (std::size_t i = 0; i < log.record_count(); ++i) {
-      if (pairs[i] == pair) points[timestamps[i]] = bw[i];
+      if (pairs[i] == pair) rows.append(timestamps[i], pair, bw[i]);
     }
   }
-  return densify(points, epoch);
+  const PairGroups groups(rows);
+  if (groups.size() == 0) return densify({}, {}, epoch);
+  return densify(groups.timestamps(0), groups.bandwidths(0), epoch);
 }
 
 std::vector<std::pair<util::PairId, Series>> extract_all_series(const BandwidthLog& log,
                                                                 util::SimTime epoch) {
   if (epoch <= 0) throw std::invalid_argument("extract_all_series: epoch must be positive");
-  // Single scan groups the columnar log; the per-pair maps then densify
+  // One grouping pass over the columnar log; each pair then densifies
   // exactly like the single-pair path (duplicate timestamps: last wins).
-  std::map<util::PairId, std::map<util::SimTime, double>> grouped;
-  const auto timestamps = log.timestamps();
-  const auto pairs = log.pair_ids();
-  const auto bw = log.bandwidths();
-  for (std::size_t i = 0; i < log.record_count(); ++i) {
-    grouped[pairs[i]][timestamps[i]] = bw[i];
-  }
+  const PairGroups groups(log);
   std::vector<std::pair<util::PairId, Series>> out;
-  out.reserve(grouped.size());
-  for (const auto& [pair, points] : grouped) {
-    out.emplace_back(pair, densify(points, epoch));
+  out.reserve(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    out.emplace_back(groups.pair(g), densify(groups.timestamps(g), groups.bandwidths(g), epoch));
   }
   return out;
 }

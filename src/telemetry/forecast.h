@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,8 +47,11 @@ Series extract_series(const BandwidthLog& log, util::PairId pair,
 
 /// One-pass bulk extraction: a dense series for every distinct pair in
 /// `log`, in ascending PairId order. Equivalent to calling the id-addressed
-/// extract_series per pair, but scans the log once instead of once per pair
-/// — the shape the per-pair demand forecaster needs.
+/// extract_series per pair, but groups the log once (telemetry/pair_groups.h)
+/// instead of scanning it once per pair — the shape the per-pair demand
+/// forecaster needs. Only each pair's own row order matters, so the sorted
+/// fine_range() read and the same rows in storage order give the same
+/// series.
 std::vector<std::pair<util::PairId, Series>> extract_all_series(
     const BandwidthLog& log, util::SimTime epoch = util::kTelemetryEpoch);
 

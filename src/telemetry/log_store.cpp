@@ -64,6 +64,10 @@ bool parse_spill_name(const std::string& name, std::size_t* shard, util::SimTime
 
 }  // namespace
 
+std::size_t BandwidthLogStore::generation_rows(const Generation& g) noexcept {
+  return g.pending ? g.pending->seg.rows() : static_cast<std::size_t>(g.file.records);
+}
+
 BandwidthLogStore::BandwidthLogStore(const LogStoreConfig& config)
     : window_(config.streaming_window),
       drift_alpha_(config.drift_alpha),
@@ -158,11 +162,12 @@ std::size_t BandwidthLogStore::recover_spill_files() {
     SMN_CHECK(seg.day() == f.day, "spill filename day disagrees with its header");
     Shard& shard = shards_[f.shard];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    std::vector<SpillEntry>& generations = shard.spilled[f.day];
+    std::vector<Generation>& generations = shard.spilled[f.day];
     SMN_CHECK(generations.size() == f.gen,
               "spill generations are not dense — the cold tier is already populated or a "
               "generation file is missing");
-    generations.push_back(SpillEntry{f.path, seg.record_count(), seg.file_bytes()});
+    generations.push_back(
+        Generation{nullptr, SpillEntry{f.path, seg.record_count(), seg.file_bytes()}});
     records += seg.record_count();
   }
   return records;
@@ -316,11 +321,40 @@ void BandwidthLogStore::ingest(const BandwidthLog& log) {
   });
 }
 
-void BandwidthLogStore::seal_day_locked(Shard& shard, util::SimTime day,
-                                        std::vector<WindowSummary>* out) {
+BandwidthLogStore::DetachedDay BandwidthLogStore::detach_shard_day(std::size_t s,
+                                                                   util::SimTime day) {
+  Shard& shard = shards_[s];
+  DetachedDay detached;
+  detached.shard = s;
+  detached.day = day;
+  std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.days.find(day);
-  if (it == shard.days.end()) return;
-  DaySlab& slab = *it->second;
+  if (it == shard.days.end()) return detached;
+  if (shard.open == it->second.get()) {
+    shard.open = nullptr;
+    shard.open_day = kNoDay;
+  }
+  detached.slab = std::move(it->second);
+  // Erasing drops the map's reference only; a ReadView holding the slab
+  // keeps serving it unchanged (no writer ever touches it again).
+  shard.days.erase(it);
+  // The seal reads slot -> PairId off the lock; Shard::pairs may grow (and
+  // reallocate) under ingest meanwhile, so the slab gets its own copy.
+  const std::size_t slots = detached.slab->accums.size();
+  detached.pairs.assign(shard.pairs.begin(),
+                        shard.pairs.begin() + static_cast<std::ptrdiff_t>(slots));
+  if (spill_enabled() && !detached.slab->seg.empty()) {
+    std::vector<Generation>& generations = shard.spilled[day];
+    detached.generation = generations.size();
+    detached.pending = true;
+    generations.push_back(Generation{detached.slab, {}});
+  }
+  return detached;
+}
+
+void BandwidthLogStore::seal_detached(const DetachedDay& detached,
+                                      std::vector<WindowSummary>* out) const {
+  const DaySlab& slab = *detached.slab;
   std::vector<std::uint32_t> run_order;
   std::vector<double> scratch;
   for (std::size_t slot = 0; slot < slab.accums.size(); ++slot) {
@@ -362,7 +396,7 @@ void BandwidthLogStore::seal_day_locked(Shard& shard, util::SimTime day,
       }
       k = group;
       WindowSummary summary;
-      summary.pair = shard.pairs[slot];
+      summary.pair = detached.pairs[slot];
       summary.window_start = window_start;
       summary.window_length = window_;
       summary.sample_count = stats.count;
@@ -376,59 +410,45 @@ void BandwidthLogStore::seal_day_locked(Shard& shard, util::SimTime day,
   }
 }
 
-void BandwidthLogStore::batch_day_locked(Shard& shard, util::SimTime day,
-                                         const TimeCoarsener& coarsener,
-                                         std::vector<WindowSummary>* out) {
-  const auto it = shard.days.find(day);
-  if (it == shard.days.end()) return;
-  // Seal-time copy: the coarsener wants contiguous columns, and batch
-  // coarsening runs once per retired (shard, day), off the ingest path.
-  const BandwidthLog seg = it->second->seg.materialize(it->second->seg.rows());
-  const CoarseBandwidthLog summarized = coarsener.coarsen(seg);
-  out->assign(summarized.summaries().begin(), summarized.summaries().end());
-}
-
-void BandwidthLogStore::spill_day_locked(std::size_t s, Shard& shard, util::SimTime day) {
-  const auto it = shard.days.find(day);
-  if (it == shard.days.end() || it->second->seg.empty()) return;
-  const BandwidthLog seg = it->second->seg.materialize(it->second->seg.rows());
-  std::vector<SpillEntry>& generations = shard.spilled[day];
+void BandwidthLogStore::spill_detached(const DetachedDay& detached) {
+  const BandwidthLog seg = detached.slab->seg.materialize(detached.slab->seg.rows());
   // Re-ingest after an earlier seal produces a second generation; file
   // names carry the generation index so nothing is overwritten.
   SpillEntry entry;
   entry.path = (std::filesystem::path(spill_dir_) /
-                ("shard" + std::to_string(s) + "_day" + std::to_string(day) + "_gen" +
-                 std::to_string(generations.size()) + ".col"))
+                ("shard" + std::to_string(detached.shard) + "_day" +
+                 std::to_string(detached.day) + "_gen" +
+                 std::to_string(detached.generation) + ".col"))
                    .string();
   entry.records = seg.record_count();
-  entry.file_bytes =
-      write_spill_file(entry.path, day, seg.timestamps(), seg.bandwidths(), seg.pair_ids());
-  generations.push_back(std::move(entry));
+  entry.file_bytes = write_spill_file(entry.path, detached.day, seg.timestamps(),
+                                      seg.bandwidths(), seg.pair_ids());
+  Shard& shard = shards_[detached.shard];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  // Readers that captured the pending generation keep serving the slab;
+  // readers from here on open the file. Both hold the same rows.
+  shard.spilled[detached.day][detached.generation] = Generation{nullptr, std::move(entry)};
 }
 
 std::size_t BandwidthLogStore::retire_shard_day(std::size_t s, util::SimTime day,
                                                 bool streaming,
                                                 const TimeCoarsener& coarsener,
                                                 std::vector<WindowSummary>* out) {
-  Shard& shard = shards_[s];
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  const DetachedDay detached = detach_shard_day(s, day);
+  if (!detached.slab) return 0;
+  // From here on no lock is held: ingest and readers of this shard proceed
+  // while the slab is summarized and written.
   if (streaming) {
-    seal_day_locked(shard, day, out);
+    seal_detached(detached, out);
   } else {
-    batch_day_locked(shard, day, coarsener, out);
+    // Seal-time copy: the coarsener wants contiguous columns, and batch
+    // coarsening runs once per retired (shard, day), off the ingest path.
+    const CoarseBandwidthLog summarized =
+        coarsener.coarsen(detached.slab->seg.materialize(detached.slab->seg.rows()));
+    out->assign(summarized.summaries().begin(), summarized.summaries().end());
   }
-  if (spill_enabled()) spill_day_locked(s, shard, day);
-  const auto it = shard.days.find(day);
-  if (it == shard.days.end()) return 0;
-  const std::size_t retired = it->second->seg.rows();
-  if (shard.open == it->second.get()) {
-    shard.open = nullptr;
-    shard.open_day = kNoDay;
-  }
-  // Erasing drops the map's reference only; a ReadView holding the slab
-  // keeps serving it unchanged (no writer ever touches it again).
-  shard.days.erase(it);
-  return retired;
+  if (detached.pending) spill_detached(detached);
+  return detached.slab->seg.rows();
 }
 
 std::size_t BandwidthLogStore::coarsen_older_than(util::SimTime now, util::SimTime max_fine_age,
@@ -459,11 +479,10 @@ std::size_t BandwidthLogStore::coarsen_older_than(util::SimTime now, util::SimTi
   std::vector<std::size_t> shard_retired(shards_.size(), 0);
   for (const util::SimTime day : due) {
     for (auto& p : parts) p.clear();
-    // Each shard retires the day in one critical section — summarize,
-    // spill, erase under a single mutex acquisition — so a record ingested
-    // concurrently into a due day is either coarsened with the rest or
-    // reopens the day, never dropped between a seal and a later erase.
-    // Each task writes only its own parts/shard_retired slot.
+    // Each shard detaches the day under its lock, so a record ingested
+    // concurrently into a due day is either in the detached slab (and is
+    // coarsened with the rest) or reopens the day as a new slab, never
+    // dropped. Each task writes only its own parts/shard_retired slot.
     for_each_shard([&](std::size_t s) {
       shard_retired[s] = retire_shard_day(s, day, streaming, coarsener, &parts[s]);
     });
@@ -514,7 +533,7 @@ void BandwidthLogStore::capture_shard_locked(const Shard& shard, ReadView::Shard
   }
   sv->spilled.reserve(shard.spilled.size());
   for (const auto& [day, generations] : shard.spilled) {
-    for (const SpillEntry& entry : generations) view->fine_rows_ += entry.records;
+    for (const Generation& g : generations) view->fine_rows_ += generation_rows(g);
     view->high_water_ = std::max(view->high_water_, day + util::kDay - 1);
     sv->spilled.emplace_back(day, generations);
   }
@@ -524,10 +543,10 @@ BandwidthLogStore::ReadView BandwidthLogStore::read_view() const {
   ReadView view;
   view.core_ = core_;
   view.shards_.resize(shards_.size());
-  // Shards locked at first sight are captured last, so a view does not
-  // trail a retention pass (which holds each shard's lock in turn for a
-  // whole seal and spill) through every shard it has still to retire. Each
-  // shard is captured whole under its lock, so the order changes no view.
+  // Shards locked at first sight (by an ingest batch, or a seal's detach
+  // or swap) are captured last, so a view waits only for locks already
+  // held, one at a time. Each shard is captured whole under its lock, so
+  // the order changes no view.
   std::vector<std::size_t> busy;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = shards_[s];
@@ -568,23 +587,39 @@ const WindowSummary& BandwidthLogStore::ReadView::coarse_at(std::size_t i) const
 
 BandwidthLog BandwidthLogStore::ReadView::fine_range(util::SimTime begin,
                                                      util::SimTime end) const {
+  // Stable sort by (timestamp, name rank): rows with equal keys share a
+  // pair, hence a shard, hence their ingest order — so the merged output is
+  // byte-identical to the single-shard store's.
+  BandwidthLog out = storage_range(begin, end);
+  out.sort();
+  return out;
+}
+
+BandwidthLog BandwidthLogStore::ReadView::storage_range(util::SimTime begin,
+                                                        util::SimTime end) const {
   BandwidthLog out;
   std::uint64_t bytes_verified = 0;
   std::uint64_t rows_scanned = 0;
   const auto day_in_range = [&](util::SimTime day) {
     return day < end && day + util::kDay > begin;
   };
-  const auto emit_cold = [&](const std::vector<SpillEntry>& generations) {
-    for (const SpillEntry& entry : generations) {
-      // open() verifies the header and block table; the read verifies only
-      // the blocks its window overlaps.
-      const SpilledSegment seg = SpilledSegment::open(entry.path, /*verify_checksum=*/false);
+  const auto emit_cold = [&](const std::vector<Generation>& generations) {
+    for (const Generation& g : generations) {
+      if (g.pending) {
+        // A seal in progress: the detached slab is complete and final.
+        rows_scanned += g.pending->seg.emit_time_filtered(&out, g.pending->seg.rows(), begin,
+                                                          end);
+        continue;
+      }
+      // open() reads and verifies the header and block table; the read
+      // reads and verifies only the blocks its window overlaps.
+      const SpilledSegment seg = SpilledSegment::open(g.file.path, /*verify_checksum=*/false);
       core_->spill_maps.fetch_add(1, std::memory_order_relaxed);
       SpillReadStats read;
       try {
         read = seg.emit_time_filtered(&out, begin, end, core_->verify_checksum);
       } catch (...) {
-        // A corrupt block throws; the mapping is released all the same.
+        // A corrupt block throws; the segment is closed all the same.
         core_->spill_unmaps.fetch_add(1, std::memory_order_relaxed);
         throw;
       }
@@ -625,10 +660,6 @@ BandwidthLog BandwidthLogStore::ReadView::fine_range(util::SimTime begin,
   }
   core_->spill_bytes_verified.fetch_add(bytes_verified, std::memory_order_relaxed);
   core_->rows_scanned.fetch_add(rows_scanned, std::memory_order_relaxed);
-  // Stable sort by (timestamp, name rank): rows with equal keys share a
-  // pair, hence a shard, hence their ingest order — so the merged output is
-  // byte-identical to the single-shard store's.
-  out.sort();
   return out;
 }
 
@@ -651,11 +682,19 @@ LogStoreStats BandwidthLogStore::stats() const {
       if (rows > 0) s.high_water = std::max(s.high_water, slab->seg.timestamp_at(rows - 1));
     }
     for (const auto& [day, generations] : shard.spilled) {
-      s.spilled_files += generations.size();
-      for (const SpillEntry& entry : generations) {
-        s.spilled_records += entry.records;
-        s.spilled_bytes += entry.file_bytes;
+      for (const Generation& g : generations) {
+        if (g.pending) {
+          // A seal in progress: the rows are still in memory.
+          records += g.pending->seg.rows();
+          s.fine_bytes += g.pending->listing_bytes;
+          s.resident_bytes += g.pending->seg.memory_bytes();
+          continue;
+        }
+        ++s.spilled_files;
+        s.spilled_records += g.file.records;
+        s.spilled_bytes += g.file.file_bytes;
       }
+      // Same high-water definition as read_view().
       s.high_water = std::max(s.high_water, day + util::kDay - 1);
     }
     s.shard_records.push_back(records);

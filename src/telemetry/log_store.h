@@ -22,13 +22,22 @@
 // day does not discard its fine columns — each (shard, day) segment is
 // serialized to a flat little-endian column file (telemetry/spill_file.h)
 // and the in-memory segment is freed, keeping only unsealed days resident.
-// fine_range() transparently maps spilled days back (util/MmapFile) and
-// merges them with the resident segments, so reads are byte-identical to a
-// store that never sealed anything. A read verifies and scans only the
-// spill blocks and resident chunks whose time bounds overlap its window,
-// so it costs the rows it returns, not the days it touches. Re-ingest into an already-spilled day
-// opens a fresh resident slab; the next seal writes a second generation
-// file, and reads merge generations in ingest order.
+// fine_range() reads spilled days back with pread and merges them with the
+// resident segments, so reads are byte-identical to a store that never
+// sealed anything. A read reads, verifies and scans only the spill blocks
+// and resident chunks whose time bounds overlap its window, so it costs
+// the rows it returns, not the days it touches. Re-ingest into an
+// already-spilled day opens a fresh resident slab; the next seal writes a
+// second generation file, and reads merge generations in ingest order.
+//
+// A seal holds its shard's lock only to detach and to swap (DESIGN.md
+// §10): under the lock it moves the day's slab into the day's generation
+// list as a pending generation, which readers keep serving from memory;
+// with no lock held it summarizes the slab and writes the spill file;
+// under a second brief lock it swaps the pending generation for the
+// file. A reader therefore sees every row of the day exactly once — in
+// the resident slab, the pending generation or the file — and never waits
+// out a seal.
 //
 // Concurrent snapshot reads (DESIGN.md §14): read_view() captures an
 // immutable ReadView — per-shard {day slab, published row count} pairs plus
@@ -36,8 +45,8 @@
 // per-shard metadata locks (O(days), no row copies). The view is then
 // queried with NO store lock at all: resident rows live in epoch-published
 // StableLog columns (readable lock-free up to the captured count while
-// ingest keeps appending past it), spilled rows read straight off their
-// mmap'd files, and retention cannot invalidate the view because slabs are
+// ingest keeps appending past it), spilled rows are read off their files,
+// and retention cannot invalidate the view because slabs are
 // shared_ptr-owned (a retired slab stays alive until the last view drops
 // it) and spill files are never deleted. fine_range() itself is one
 // read_view().fine_range() call, so the quiesced and concurrent read paths
@@ -82,7 +91,9 @@ struct LogStoreStats {
   std::size_t spilled_records = 0;
   std::size_t spilled_files = 0;
   std::size_t spilled_bytes = 0;  ///< on-disk bytes, headers included
-  /// Lifetime mapping traffic: spill files mapped / released by reads.
+  /// Lifetime spill-read traffic: spill segments opened / closed by reads.
+  /// (The names predate pread reads, when each open was a file mapping;
+  /// they are kept so gauges and reports stay comparable.)
   std::uint64_t spill_maps = 0;
   std::uint64_t spill_unmaps = 0;
   /// Lifetime read work: spill bytes checksummed by reads (headers, block
@@ -142,8 +153,7 @@ struct LogStoreConfig {
   std::string spill_dir;
   /// Verify the checksum of every spill block a read touches (the header
   /// and block table are always verified). Costs one pass over the touched
-  /// blocks per read; disable only in benches that isolate raw map+read
-  /// cost.
+  /// blocks per read; disable only in benches that isolate raw read cost.
   bool spill_verify_checksum = true;
   /// Take over a spill directory whose pid lockfile is still present.
   /// Every store with a spill_dir writes a `LOCK` file on construction and
@@ -172,16 +182,18 @@ class BandwidthLogStore {
 
   /// One day segment of one shard plus its open accumulators (by slot).
   /// Rows live in a StableLog so snapshot readers can consume a published
-  /// prefix lock-free while ingest appends; the accumulators stay
-  /// writer-only state behind the shard mutex (views never touch them).
+  /// prefix lock-free while ingest appends; the accumulators are writer
+  /// state behind the shard mutex (views never touch them) until a seal
+  /// detaches the slab, after which nothing writes it and the seal reads
+  /// them with no lock.
   struct DaySlab {
     StableLog seg;
     std::vector<PairDayAccum> accums;
     /// Listing-1 serialized size of the slab's rows (the fine_bytes gauge),
     /// summed as rows arrive. Like `accums`, views never read it. DaySlab
     /// has no mutex of its own for an annotation to name; the counter is
-    /// reached only through the guarded Shard::days / Shard::open, so every
-    /// access holds the shard mutex.
+    /// reached only through the guarded Shard::days / Shard::open /
+    /// Shard::spilled, so every access holds the shard mutex.
     std::size_t listing_bytes = 0;
   };
 
@@ -192,6 +204,15 @@ class BandwidthLogStore {
     std::string path;
     std::uint64_t records = 0;
     std::uint64_t file_bytes = 0;
+  };
+
+  /// One generation of a sealed (shard, day): pending while its seal
+  /// summarizes the slab and writes the file off the shard lock (served
+  /// from the detached slab, which no writer touches again), then the
+  /// spill file. Exactly one of the two is set.
+  struct Generation {
+    std::shared_ptr<const DaySlab> pending;
+    SpillEntry file;  ///< valid once `pending` is null
   };
 
   /// State shared between the store and every ReadView it hands out, so a
@@ -208,8 +229,9 @@ class BandwidthLogStore {
     util::EpochTable<WindowSummary> coarse_rows{1024};
     std::atomic<std::uint64_t> views_acquired{0};
     std::atomic<std::uint64_t> views_live{0};
-    /// Lifetime spill mapping traffic (reads are const; counters are not
-    /// state, so they stay atomics rather than joining a shard lock).
+    /// Lifetime spill-read traffic: segments opened and closed (reads are
+    /// const; counters are not state, so they stay atomics rather than
+    /// joining a shard lock).
     std::atomic<std::uint64_t> spill_maps{0};
     std::atomic<std::uint64_t> spill_unmaps{0};
     std::atomic<std::uint64_t> spill_bytes_verified{0};
@@ -253,8 +275,17 @@ class BandwidthLogStore {
     /// Fine records in [begin, end), merged across shards and tiers,
     /// timestamp-sorted — same merge, same output bytes as the store's
     /// fine_range() (which is implemented as exactly this call on a fresh
-    /// view). Lock-free against concurrent ingest and retention.
+    /// view). Lock-free against concurrent ingest and retention. It is
+    /// storage_range() followed by BandwidthLog::sort().
     BandwidthLog fine_range(util::SimTime begin, util::SimTime end) const;
+
+    /// The rows of fine_range(begin, end) in storage order, unsorted: shard
+    /// by shard, days ascending, a day's sealed generations before its
+    /// resident slab, each in ingest order. So every pair's rows come in
+    /// the order the stable sort of fine_range() starts from, and a
+    /// consumer that groups rows by pair (telemetry/pair_groups.h) gets
+    /// fine_range()'s per-pair sequences without paying for the sort.
+    BandwidthLog storage_range(util::SimTime begin, util::SimTime end) const;
 
     /// Fine records covered by this view (resident prefix + spilled).
     std::size_t fine_rows() const noexcept { return fine_rows_; }
@@ -283,9 +314,9 @@ class BandwidthLogStore {
     };
     struct ShardView {
       std::vector<ResidentDay> resident;  ///< ascending day order
-      /// Spilled generation lists, ascending day order (copied entries —
-      /// generations appended later are invisible to this view).
-      std::vector<std::pair<util::SimTime, std::vector<SpillEntry>>> spilled;
+      /// Sealed generation lists, ascending day order (copied entries —
+      /// generations appended or swapped later are invisible to this view).
+      std::vector<std::pair<util::SimTime, std::vector<Generation>>> spilled;
     };
 
     ReadView() = default;
@@ -301,9 +332,9 @@ class BandwidthLogStore {
   /// Captures a ReadView under brief per-shard metadata locks. Never
   /// blocks on a query in flight; ingest is held out only for the O(days)
   /// metadata walk of one shard at a time. Shards locked at first sight
-  /// (mid-retirement) are captured last, so a view waits out at most the
-  /// retirements already in progress, not every shard a retention pass has
-  /// still to reach.
+  /// are captured last, so a view waits out at most the critical sections
+  /// already in progress; a seal holds a shard lock only to detach a day
+  /// and to swap its spill file in.
   ReadView read_view() const;
 
   /// Appends one record into its shard's day segment and open window
@@ -328,7 +359,7 @@ class BandwidthLogStore {
 
   /// Fine records in [begin, end), merged across shards, timestamp-sorted.
   /// Byte-identical to the single-shard store's output. Spilled days
-  /// overlapping the range are mapped back transparently and merged with
+  /// overlapping the range are read back transparently and merged with
   /// resident segments, so with spilling enabled the result matches a
   /// store that never sealed anything. Implemented as
   /// read_view().fine_range(begin, end): one merge implementation serves
@@ -361,7 +392,8 @@ class BandwidthLogStore {
   /// Footprint gauges. O(shards x resident days + spilled generations):
   /// the byte estimates are running counts kept by ingest and retention,
   /// so no stored row is walked. Takes each shard lock in turn and
-  /// acquires no ReadView.
+  /// acquires no ReadView. A pending generation (a seal in progress) still
+  /// counts as resident.
   LogStoreStats stats() const;
 
   // --- Drift tracking (streaming TE re-solve triggers) ---
@@ -402,9 +434,10 @@ class BandwidthLogStore {
     /// byte estimate (cached at slot assignment).
     std::vector<std::uint32_t> name_bytes SMN_GUARDED_BY(mutex);
     bool drift_enabled SMN_GUARDED_BY(mutex) = false;
-    /// Cold tier of this shard: day -> spill files in generation (ingest)
-    /// order. A day can appear here and in `days` at once after re-ingest.
-    std::map<util::SimTime, std::vector<SpillEntry>> spilled SMN_GUARDED_BY(mutex);
+    /// Cold tier of this shard: day -> sealed generations in generation
+    /// (ingest) order, each pending or spilled. A day can appear here and
+    /// in `days` at once after re-ingest.
+    std::map<util::SimTime, std::vector<Generation>> spilled SMN_GUARDED_BY(mutex);
   };
 
   std::size_t shard_of(util::PairId pair) const noexcept {
@@ -425,6 +458,9 @@ class BandwidthLogStore {
     std::span<const util::PairId> pairs;
     std::span<const double> bw_gbps;
   };
+
+  /// Fine rows of one sealed generation, pending or spilled.
+  static std::size_t generation_rows(const Generation& g) noexcept;
 
   /// Copies `shard`'s slab pointers, published row counts and spilled
   /// generation lists into `*sv`, and folds them into `view`'s row count
@@ -455,30 +491,41 @@ class BandwidthLogStore {
                          util::PairId pair, double bw_gbps)
       SMN_REQUIRES(shard.mutex);
 
-  /// Seals `shard`'s slab of `day` into `*out` from the streaming
-  /// accumulators (summaries unordered).
-  void seal_day_locked(Shard& shard, util::SimTime day,
-                       std::vector<WindowSummary>* out) SMN_REQUIRES(shard.mutex);
+  /// A (shard, day) slab taken out of its shard by a seal. Everything the
+  /// off-lock part of the seal reads belongs to it: the slab itself (no
+  /// writer touches a detached slab) and a copy of the shard's
+  /// slot -> PairId map for the slab's accumulators.
+  struct DetachedDay {
+    std::size_t shard = 0;
+    util::SimTime day = 0;
+    std::shared_ptr<const DaySlab> slab;  ///< null: the shard had no such slab
+    std::vector<util::PairId> pairs;      ///< by accumulator slot
+    /// Index of the pending generation registered for the slab; only
+    /// meaningful when `pending`.
+    std::size_t generation = 0;
+    bool pending = false;
+  };
 
-  /// Batch-coarsens `shard`'s slab of `day` with `coarsener` into `*out`.
-  void batch_day_locked(Shard& shard, util::SimTime day,
-                        const TimeCoarsener& coarsener,
-                        std::vector<WindowSummary>* out) SMN_REQUIRES(shard.mutex);
+  /// Under shard `s`'s lock: erases its slab of `day` from the resident
+  /// map and, when the cold tier is configured and the slab holds rows,
+  /// appends it to the day's generation list as a pending generation. A
+  /// record ingested into the day afterwards opens a fresh slab — the next
+  /// generation — so nothing lands between the detach and the summary.
+  DetachedDay detach_shard_day(std::size_t s, util::SimTime day);
 
-  /// Serializes shard `s`'s slab of `day` to a new-generation spill file and
-  /// registers it in the shard's cold tier (must run before the slab is
-  /// erased, while the columns still exist).
-  void spill_day_locked(std::size_t s, Shard& shard, util::SimTime day)
-      SMN_REQUIRES(shard.mutex);
+  /// Seals a detached slab into `*out` from its streaming accumulators
+  /// (summaries unordered). Takes no lock.
+  void seal_detached(const DetachedDay& detached, std::vector<WindowSummary>* out) const;
 
-  /// Retires shard `s`'s slab of `day` under ONE mutex acquisition:
-  /// summarize into `*out` (streaming seal or batch coarsen), spill when the
-  /// cold tier is configured, then erase the slab. The single critical
-  /// section makes retention atomic against concurrent ingest — a record
-  /// appended to a due day lands either before the summary (and is
-  /// coarsened) or after the erase (and reopens the day as fresh fine
-  /// state), never in between, where it would be silently dropped. Returns
-  /// the fine records retired.
+  /// Writes a detached slab's pending generation to its spill file with no
+  /// lock held, then swaps the file in for the pending generation under a
+  /// brief lock of its shard.
+  void spill_detached(const DetachedDay& detached);
+
+  /// Retires shard `s`'s slab of `day`: detach (shard lock), summarize
+  /// into `*out` (streaming seal or batch coarsen) and write the spill file
+  /// (no lock), swap the file in (shard lock). Returns the fine records
+  /// retired.
   std::size_t retire_shard_day(std::size_t s, util::SimTime day, bool streaming,
                                const TimeCoarsener& coarsener,
                                std::vector<WindowSummary>* out);
@@ -489,6 +536,9 @@ class BandwidthLogStore {
   /// Writes the pid lockfile under `spill_dir_` (SMN_CHECK-fails on a
   /// pre-existing lock unless `steal`).
   void acquire_spill_lock(bool steal);
+
+  /// Tests drive the seal stages one at a time to read a store mid-seal.
+  friend struct LogStoreSealStages;
 
   util::SimTime window_;
   double drift_alpha_;

@@ -1,18 +1,23 @@
 #include "telemetry/spill_file.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstddef>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace smn::telemetry {
 namespace {
 
-// The format is defined little-endian; columns are written and mapped as
-// raw memory, so the host must match. (Every supported target is LE; a
+// The format is defined little-endian; columns are written and read back
+// as raw memory, so the host must match. (Every supported target is LE; a
 // big-endian port would add a byte-swapping read path here.)
 static_assert(std::endian::native == std::endian::little,
               "spill files are little-endian; this host would need a swap path");
@@ -24,6 +29,8 @@ constexpr std::uint64_t kMagic = 0x324C495053'4E4D53ull;  // "SMNSPIL2" LE
 constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderBytes = 80;
 constexpr std::size_t kRowBytes = sizeof(util::SimTime) + sizeof(double) + sizeof(util::PairId);
+/// Most blocks one read run spans (64 x 512 rows = 640 KiB of scratch).
+constexpr std::size_t kRunBlocks = 64;
 
 struct SpillHeader {
   std::uint64_t magic = kMagic;
@@ -76,6 +83,21 @@ std::uint64_t block_checksum(const util::SimTime* timestamps, const double* band
 
 [[noreturn]] void corrupt(const std::string& path, const char* what) {
   throw std::runtime_error("SpilledSegment: " + path + ": " + what);
+}
+
+/// Reads exactly `bytes` at `offset` of `fd` into `dst`; a short read (the
+/// file shrank under the reader) or an I/O error throws.
+void read_exact(int fd, const std::string& path, void* dst, std::size_t bytes,
+                std::size_t offset) {
+  auto* p = static_cast<char*>(dst);
+  while (bytes > 0) {
+    const ::ssize_t got = ::pread(fd, p, bytes, static_cast<::off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) corrupt(path, got == 0 ? "short read" : "read failed");
+    p += got;
+    bytes -= static_cast<std::size_t>(got);
+    offset += static_cast<std::size_t>(got);
+  }
 }
 
 }  // namespace
@@ -132,15 +154,41 @@ std::size_t write_spill_file(const std::string& path, util::SimTime day,
   return total;
 }
 
-SpilledSegment SpilledSegment::open(const std::string& path, bool verify_checksum,
-                                    bool allow_mmap) {
+SpilledSegment::SpilledSegment(SpilledSegment&& other) noexcept { *this = std::move(other); }
+
+SpilledSegment& SpilledSegment::operator=(SpilledSegment&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+    path_ = std::move(other.path_);
+    records_ = other.records_;
+    block_rows_ = other.block_rows_;
+    file_bytes_ = other.file_bytes_;
+    header_bytes_ = other.header_bytes_;
+    day_ = other.day_;
+    off_timestamps_ = other.off_timestamps_;
+    off_bandwidths_ = other.off_bandwidths_;
+    off_pairs_ = other.off_pairs_;
+    blocks_ = std::move(other.blocks_);
+  }
+  return *this;
+}
+
+SpilledSegment::~SpilledSegment() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+SpilledSegment SpilledSegment::open(const std::string& path, bool verify_checksum) {
   SpilledSegment out;
-  out.map_ = util::MmapFile::open(path, allow_mmap);
   out.path_ = path;
-  const std::size_t size = out.map_.size();
+  out.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (out.fd_ < 0) corrupt(path, "cannot open");
+  struct stat st {};
+  if (::fstat(out.fd_, &st) != 0) corrupt(path, "cannot stat");
+  const auto size = static_cast<std::size_t>(st.st_size);
   if (size < kHeaderBytes) corrupt(path, "file shorter than the header");
   SpillHeader header;
-  std::memcpy(&header, out.map_.data(), sizeof(header));
+  read_exact(out.fd_, path, &header, sizeof(header), 0);
   if ((header.magic & kMagicFamilyMask) != kMagicFamily) {
     corrupt(path, "bad magic (not a spill file)");
   }
@@ -160,53 +208,90 @@ SpilledSegment SpilledSegment::open(const std::string& path, bool verify_checksu
       size != expect.off_pairs + n * sizeof(util::PairId)) {
     corrupt(path, "column offsets inconsistent with record count / file size");
   }
-  const std::byte* base = out.map_.data();
-  if (header_checksum(header, base + header.off_blocks) != header.checksum) {
+  out.blocks_.resize(header.block_count);
+  read_exact(out.fd_, path, out.blocks_.data(), out.blocks_.size() * sizeof(SpillBlock),
+             header.off_blocks);
+  if (header_checksum(header, out.blocks_.data()) != header.checksum) {
     corrupt(path, "header checksum mismatch (corrupt header or block table)");
   }
   out.records_ = n;
   out.block_rows_ = header.block_rows;
-  out.block_count_ = header.block_count;
+  out.file_bytes_ = size;
   out.header_bytes_ = header.off_timestamps;
   out.day_ = header.day;
-  out.blocks_ = reinterpret_cast<const SpillBlock*>(base + header.off_blocks);
-  out.timestamps_ = reinterpret_cast<const util::SimTime*>(base + header.off_timestamps);
-  out.bandwidths_ = reinterpret_cast<const double*>(base + header.off_bandwidths);
-  out.pairs_ = reinterpret_cast<const util::PairId*>(base + header.off_pairs);
+  out.off_timestamps_ = header.off_timestamps;
+  out.off_bandwidths_ = header.off_bandwidths;
+  out.off_pairs_ = header.off_pairs;
   if (verify_checksum) out.verify();
   return out;
 }
 
-std::size_t SpilledSegment::verify_block(std::size_t b) const {
-  const std::size_t first = b * block_rows_;
-  const std::size_t rows = std::min(block_rows_, records_ - first);
-  if (block_checksum(timestamps_, bandwidths_, pairs_, first, rows) != blocks_[b].checksum) {
-    corrupt(path_, "block checksum mismatch (corrupt columns)");
+template <typename Wanted, typename Fn>
+SpillReadStats SpilledSegment::read_blocks(const Wanted& wanted, bool verify,
+                                           const Fn& fn) const {
+  SpillReadStats stats;
+  std::vector<util::SimTime> timestamps;
+  std::vector<double> bandwidths;
+  std::vector<util::PairId> pairs;
+  std::size_t b = 0;
+  while (b < blocks_.size()) {
+    if (!wanted(blocks_[b])) {
+      ++b;
+      continue;
+    }
+    // One run of consecutive wanted blocks costs three reads, one per
+    // column; runs are capped so the scratch columns stay small.
+    std::size_t e = b + 1;
+    while (e < blocks_.size() && e - b < kRunBlocks && wanted(blocks_[e])) ++e;
+    const std::size_t first = b * block_rows_;
+    const std::size_t rows = std::min(e * block_rows_, records_) - first;
+    timestamps.resize(rows);
+    bandwidths.resize(rows);
+    pairs.resize(rows);
+    read_exact(fd_, path_, timestamps.data(), rows * sizeof(util::SimTime),
+               off_timestamps_ + first * sizeof(util::SimTime));
+    read_exact(fd_, path_, bandwidths.data(), rows * sizeof(double),
+               off_bandwidths_ + first * sizeof(double));
+    read_exact(fd_, path_, pairs.data(), rows * sizeof(util::PairId),
+               off_pairs_ + first * sizeof(util::PairId));
+    if (verify) {
+      for (std::size_t k = b; k < e; ++k) {
+        const std::size_t at = k * block_rows_ - first;
+        const std::size_t block = std::min(block_rows_, rows - at);
+        if (block_checksum(timestamps.data(), bandwidths.data(), pairs.data(), at, block) !=
+            blocks_[k].checksum) {
+          corrupt(path_, "block checksum mismatch (corrupt columns)");
+        }
+      }
+      stats.bytes_verified += rows * kRowBytes;
+    }
+    stats.rows_scanned += rows;
+    fn(std::span<const util::SimTime>(timestamps), std::span<const double>(bandwidths),
+       std::span<const util::PairId>(pairs));
+    b = e;
   }
-  return rows * kRowBytes;
+  return stats;
 }
 
 std::size_t SpilledSegment::verify() const {
-  std::size_t bytes = 0;
-  for (std::size_t b = 0; b < block_count_; ++b) bytes += verify_block(b);
-  return bytes;
+  return read_blocks([](const SpillBlock&) { return true; }, /*verify=*/true,
+                     [](auto, auto, auto) {})
+      .bytes_verified;
 }
 
 SpillReadStats SpilledSegment::emit_time_filtered(BandwidthLog* out, util::SimTime begin,
                                                   util::SimTime end, bool verify) const {
-  SpillReadStats stats;
-  for (std::size_t b = 0; b < block_count_; ++b) {
-    // The block table passed the header checksum, so its bounds are the
-    // ones written: a block outside the window holds no row of it.
-    if (blocks_[b].max_timestamp < begin || blocks_[b].min_timestamp >= end) continue;
-    if (verify) stats.bytes_verified += verify_block(b);
-    const std::size_t first = b * block_rows_;
-    const std::size_t rows = std::min(block_rows_, records_ - first);
-    stats.rows_scanned += rows;
-    out->append_time_filtered(timestamps().subspan(first, rows), pair_ids().subspan(first, rows),
-                              bandwidths().subspan(first, rows), begin, end);
-  }
-  return stats;
+  // The block table passed the header checksum, so its bounds are the ones
+  // written: a block outside the window holds no row of it.
+  return read_blocks(
+      [&](const SpillBlock& block) {
+        return block.max_timestamp >= begin && block.min_timestamp < end;
+      },
+      verify,
+      [&](std::span<const util::SimTime> timestamps, std::span<const double> bandwidths,
+          std::span<const util::PairId> pairs) {
+        out->append_time_filtered(timestamps, pairs, bandwidths, begin, end);
+      });
 }
 
 }  // namespace smn::telemetry

@@ -1,10 +1,10 @@
 // On-disk format of one sealed (shard, day) fine segment — the cold tier
 // of the BandwidthLogStore (DESIGN.md §10). One file holds the three
-// columns of one day segment verbatim, so a mapped file reads back with
-// the exact spans the resident segment would have produced. The columns
-// are cut into blocks of kSpillBlockRows rows; a block table records each
-// block's time range and checksum, so a windowed read verifies and scans
-// only the blocks its window overlaps.
+// columns of one day segment verbatim, so the rows read back are the
+// exact bytes the resident segment held. The columns are cut into blocks
+// of kSpillBlockRows rows; a block table records each block's time range
+// and checksum, so a windowed read fetches and verifies only the blocks
+// its window overlaps.
 //
 //   header (80 bytes, little-endian):
 //     magic           u64   0x32'4C'49'50'53'4E'4D'53 ("SMNSPIL2")
@@ -26,16 +26,21 @@
 //                           three columns, in (timestamps, bandwidths,
 //                           pairs) order
 //   columns: SimTime[n], double[n], PairId[n] — each 8-byte aligned, in
-//   header order, so mapped pointers satisfy alignment sanitizers.
+//   header order.
 //
-// What is verified when: open() checks the structure (magic, version,
-// offsets against record count and file size) and the header checksum, so
-// the block table it trusts is the one that was written. A windowed read
-// (emit_time_filtered) then verifies each block it scans before using its
-// rows; a block outside the window is neither read nor verified. verify()
-// checks every block — recovery and whole-file consumers use it. A file of
-// any other version (the unblocked v1 "SMNSPIL1" included) is rejected as
-// "unsupported version".
+// Reads use pread(2) on a descriptor held by the SpilledSegment: no
+// mapping is ever made, so a read takes no address-space lock and causes
+// no TLB shootdown, whatever other threads of the process are doing.
+// What is read and verified when: open() reads the header and the block
+// table and checks the structure (magic, version, offsets against record
+// count and file size) and the header checksum, so the block table it
+// trusts is the one that was written. A windowed read
+// (emit_time_filtered) then reads only the column ranges of the blocks
+// its window overlaps and verifies each before using its rows; a block
+// outside the window is neither read nor verified. verify() reads and
+// checks every block — recovery and whole-file consumers use it. A file
+// of any other version (the unblocked v1 "SMNSPIL1" included) is
+// rejected as "unsupported version".
 //
 // Writes go through a `.tmp` sibling plus rename, so a crash mid-write
 // never leaves a half-file behind under the spill directory.
@@ -45,10 +50,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "telemetry/bandwidth_log.h"
 #include "util/interner.h"
-#include "util/mmap_file.h"
 #include "util/sim_time.h"
 
 namespace smn::telemetry {
@@ -87,22 +92,26 @@ struct SpillReadStats {
   std::size_t bytes_verified = 0;  ///< column bytes of the blocks checksummed
 };
 
-/// A spill file mapped back into memory. The column accessors alias the
-/// mapping directly (zero-copy on the mmap path); the segment must outlive
-/// every span taken from it.
+/// An open spill file: its header and block table in memory, its columns
+/// read on demand with pread. Move-only; owns one file descriptor.
 class SpilledSegment {
  public:
-  /// Maps and validates `path`: magic, version, offsets/size coherence and
-  /// the header checksum over the header and block table; with
-  /// `verify_checksum`, every block as well (verify()). Throws
-  /// std::runtime_error on any mismatch — a corrupt spill file must never
-  /// feed silent garbage into a fine_range() merge. `allow_mmap = false`
-  /// forces the read() fallback (tests cover both paths).
-  static SpilledSegment open(const std::string& path, bool verify_checksum = true,
-                             bool allow_mmap = true);
+  /// Opens `path` and reads its header and block table: magic, version,
+  /// offsets/size coherence and the header checksum over the header and
+  /// block table; with `verify_checksum`, every block as well (verify()).
+  /// Throws std::runtime_error on any mismatch or I/O failure — a corrupt
+  /// spill file must never feed silent garbage into a fine_range() merge.
+  static SpilledSegment open(const std::string& path, bool verify_checksum = true);
 
-  /// Verifies every block's checksum; throws std::runtime_error on the
-  /// first mismatch. Returns the column bytes verified.
+  SpilledSegment(SpilledSegment&& other) noexcept;
+  SpilledSegment& operator=(SpilledSegment&& other) noexcept;
+  SpilledSegment(const SpilledSegment&) = delete;
+  SpilledSegment& operator=(const SpilledSegment&) = delete;
+  ~SpilledSegment();
+
+  /// Reads every block and verifies its checksum; throws
+  /// std::runtime_error on the first mismatch. Returns the column bytes
+  /// verified.
   std::size_t verify() const;
 
   /// Appends every row whose timestamp falls in [begin, end) onto `out`,
@@ -114,35 +123,32 @@ class SpilledSegment {
 
   std::size_t record_count() const noexcept { return records_; }
   util::SimTime day() const noexcept { return day_; }
-  std::size_t file_bytes() const noexcept { return map_.size(); }
+  std::size_t file_bytes() const noexcept { return file_bytes_; }
   /// Bytes covered by the header checksum (header plus block table), all
-  /// verified by open().
+  /// read and verified by open().
   std::size_t header_bytes() const noexcept { return header_bytes_; }
-  bool is_mapped() const noexcept { return map_.is_mapped(); }
-
-  /// Whole columns. Verified only when the segment was opened with
-  /// `verify_checksum` (or after verify()).
-  std::span<const util::SimTime> timestamps() const noexcept {
-    return {timestamps_, records_};
-  }
-  std::span<const double> bandwidths() const noexcept { return {bandwidths_, records_}; }
-  std::span<const util::PairId> pair_ids() const noexcept { return {pairs_, records_}; }
 
  private:
-  /// Checksums block `b`; throws on a mismatch. Returns its column bytes.
-  std::size_t verify_block(std::size_t b) const;
+  SpilledSegment() = default;
 
-  util::MmapFile map_;
+  /// Reads the blocks `wanted` selects, in runs of consecutive blocks, and
+  /// calls `fn(first_row, timestamps, bandwidths, pairs)` once per run;
+  /// with `verify`, each block of a run is checksummed first. Returns the
+  /// work done.
+  template <typename Wanted, typename Fn>
+  SpillReadStats read_blocks(const Wanted& wanted, bool verify, const Fn& fn) const;
+
+  int fd_ = -1;
   std::string path_;  ///< for error messages
   std::size_t records_ = 0;
   std::size_t block_rows_ = 0;
-  std::size_t block_count_ = 0;
+  std::size_t file_bytes_ = 0;
   std::size_t header_bytes_ = 0;
   util::SimTime day_ = 0;
-  const SpillBlock* blocks_ = nullptr;
-  const util::SimTime* timestamps_ = nullptr;
-  const double* bandwidths_ = nullptr;
-  const util::PairId* pairs_ = nullptr;
+  std::size_t off_timestamps_ = 0;
+  std::size_t off_bandwidths_ = 0;
+  std::size_t off_pairs_ = 0;
+  std::vector<SpillBlock> blocks_;
 };
 
 }  // namespace smn::telemetry

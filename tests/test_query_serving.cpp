@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <span>
 #include <string>
@@ -302,6 +303,84 @@ TEST(ReadViewProperty, MidIngestViewEqualsQuiescedPrefixStore) {
                           reference.fine_range(util::kDay + 5 * util::kHour, 3 * util::kDay));
     EXPECT_EQ(view.fine_rows(), prefix.record_count());
     EXPECT_GT(view.high_water(), 0);
+  }
+}
+
+}  // namespace
+
+/// Runs a seal's stages one at a time, so a test can read the store while
+/// a day is detached and its spill file not yet swapped in.
+struct LogStoreSealStages {
+  using Detached = BandwidthLogStore::DetachedDay;
+  static std::vector<Detached> detach_all(BandwidthLogStore& store, util::SimTime day) {
+    std::vector<Detached> out;
+    for (std::size_t s = 0; s < store.shard_count(); ++s) {
+      out.push_back(store.detach_shard_day(s, day));
+    }
+    return out;
+  }
+  static void spill_all(BandwidthLogStore& store, const std::vector<Detached>& detached) {
+    for (const Detached& d : detached) {
+      if (d.pending) store.spill_detached(d);
+    }
+  }
+};
+
+namespace {
+
+TEST(ReadViewProperty, MidSealViewsSeeEveryRowExactlyOnce) {
+  // A seal detaches a day under the shard lock and writes its spill file
+  // with no lock held. A view taken in between serves the day from the
+  // pending slab; one taken after the swap reads the file. Both, and a
+  // view pinned across the swap, must read byte-identical to a quiesced
+  // single-shard store — while ingest adds new pairs and re-ingests into
+  // the retiring day.
+  const BandwidthLog stream = serving_stream(4242, 1200, 3);
+  util::IdSpace& ids = util::IdSpace::global();
+  BandwidthLog late;  // ingested mid-seal: the retiring day and a new pair
+  const util::PairId fresh = ids.pair_of_names("midseal-new-src", "midseal-new-dst");
+  for (int i = 0; i < 60; ++i) {
+    late.append(static_cast<util::SimTime>(i) * 997, i % 3 == 0 ? fresh : stream.pair_ids()[i],
+                static_cast<double>(i) + 0.5);
+  }
+  for (const std::size_t shards : {8u, 1u, 3u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    LogStoreConfig config = serving_config(shards, "midseal" + std::to_string(shards));
+    std::filesystem::remove_all(config.spill_dir);
+    BandwidthLogStore store(config);
+    store.ingest(stream);
+    BandwidthLogStore reference(util::kHour);
+    reference.ingest(stream);
+    const std::size_t before = store.stats().fine_records;
+
+    const auto detached = LogStoreSealStages::detach_all(store, 0);
+    const BandwidthLogStore::ReadView pending = store.read_view();
+    expect_logs_identical(pending.fine_range(0, kAllTime), reference.fine_range(0, kAllTime));
+    EXPECT_EQ(pending.fine_rows(), stream.record_count());
+    const LogStoreStats mid = store.stats();
+    EXPECT_EQ(mid.fine_records, before);  // pending rows are still resident
+    EXPECT_EQ(mid.spilled_records, 0u);
+
+    store.ingest(late);
+    reference.ingest(late);
+    LogStoreSealStages::spill_all(store, detached);
+    const LogStoreStats after = store.stats();
+    EXPECT_EQ(after.fine_records + after.spilled_records,
+              stream.record_count() + late.record_count());
+    EXPECT_GT(after.spilled_records, 0u);
+
+    // The view pinned before the swap still serves the slab, unchanged.
+    BandwidthLogStore quiesced(util::kHour);
+    quiesced.ingest(stream);
+    expect_logs_identical(pending.fine_range(0, kAllTime), quiesced.fine_range(0, kAllTime));
+    // A fresh view reads the file, the re-ingested slab and the rest.
+    const BandwidthLogStore::ReadView swapped = store.read_view();
+    expect_logs_identical(swapped.fine_range(0, kAllTime), reference.fine_range(0, kAllTime));
+    expect_logs_identical(swapped.fine_range(util::kHour, util::kDay + util::kHour),
+                          reference.fine_range(util::kHour, util::kDay + util::kHour));
+    BandwidthLog resorted = swapped.storage_range(0, kAllTime);
+    resorted.sort();
+    expect_logs_identical(resorted, reference.fine_range(0, kAllTime));
   }
 }
 

@@ -8,6 +8,7 @@
 #include "smn/smn_controller.h"
 #include "optical/optical.h"
 #include "smn/war_stories.h"
+#include "te/demand.h"
 #include "telemetry/traffic_generator.h"
 #include "topology/wan_generator.h"
 #include "util/contracts.h"
@@ -290,6 +291,91 @@ TEST(SmnController, SnapshotAgeGaugeMatchesReadViewHighWater) {
   controller.tick(now);
   EXPECT_EQ(*controller.mib().get("smn", "bw_snapshot_age"),
             static_cast<double>(now - high_water));
+}
+
+TEST(SmnController, PlanAndResolveFromTheStorageOrderReadMatchTheSortedRead) {
+  // The planning passes read the trailing month in storage order and group
+  // it by pair; on a multi-shard store with spilled days their demand and
+  // plan must equal what the (timestamp, name)-sorted fine_range() of the
+  // same month gives, bit for bit.
+  const depgraph::ServiceGraph sg = depgraph::build_reddit_deployment();
+  const topology::WanTopology wan = topology::generate_test_wan();
+  SmnConfig config = quick_config();
+  config.bw_shards = 8;
+  config.bw_max_fine_age = util::kDay;
+  config.bw_spill_dir = ::testing::TempDir() + "smn_controller_storage_order";
+  std::filesystem::remove_all(config.bw_spill_dir);
+  SmnController controller(sg, wan, config);
+  const telemetry::BandwidthLogStore& store = controller.bandwidth_store();
+
+  telemetry::TrafficConfig traffic;
+  traffic.duration = 4 * util::kDay;
+  traffic.active_pairs = 60;
+  traffic.seed = 41;
+  traffic.regimes = {{telemetry::RegimeKind::kLevelShift, 3 * util::kDay, 0, 2.0, ""}};
+  const telemetry::BandwidthLog trace = telemetry::TrafficGenerator(wan, traffic).generate();
+  const auto ingest_days = [&](util::SimTime from, util::SimTime to) {
+    telemetry::BandwidthLog part;
+    part.append_time_filtered(trace.timestamps(), trace.pair_ids(), trace.bandwidths(), from,
+                              to);
+    controller.ingest_bandwidth(part);
+  };
+
+  // Days 0-2 ingested; the retention pass spills days 0 and 1.
+  ingest_days(0, 3 * util::kDay);
+  const util::SimTime plan_at = 3 * util::kDay;
+  controller.run_retention(plan_at);
+  ASSERT_GT(store.stats().spilled_records, 0u);
+
+  capacity::PlannerConfig planner_config = config.clto.planner;
+  planner_config.cross_layer = true;
+  const capacity::CapacityPlan want_plan =
+      capacity::CapacityPlanner(wan, planner_config).plan(store.fine_range(0, plan_at));
+  const capacity::CapacityPlan plan = controller.run_capacity_planning(plan_at);
+  ASSERT_FALSE(want_plan.upgrades.empty());
+  ASSERT_EQ(plan.upgrades.size(), want_plan.upgrades.size());
+  for (std::size_t i = 0; i < plan.upgrades.size(); ++i) {
+    EXPECT_EQ(plan.upgrades[i].link_index, want_plan.upgrades[i].link_index);
+    EXPECT_EQ(plan.upgrades[i].proposed_capacity_gbps,
+              want_plan.upgrades[i].proposed_capacity_gbps);
+    EXPECT_EQ(plan.upgrades[i].overload_fraction, want_plan.upgrades[i].overload_fraction);
+  }
+  EXPECT_EQ(plan.fiber_build_requests, want_plan.fiber_build_requests);
+  EXPECT_EQ(plan.total_added_gbps, want_plan.total_added_gbps);
+
+  // Day 3 doubles demand: the re-solve forecasts under measured drift.
+  ingest_days(3 * util::kDay, 4 * util::kDay);
+  const util::SimTime resolve_at = 4 * util::kDay;
+  const double level = store.drift().level;
+  ASSERT_GT(level, 0.0);
+  telemetry::ForecastOptions forecast_options;
+  forecast_options.drift_level = level;
+  const te::DemandMatrix want_demand = te::DemandMatrix::from_forecast(
+      store.fine_range(0, resolve_at), config.adaptive_forecast_horizon,
+      telemetry::ForecastMethod::kEwma, forecast_options);
+  const te::DemandMatrix demand = te::DemandMatrix::from_forecast(
+      store.read_view().storage_range(0, resolve_at), config.adaptive_forecast_horizon,
+      telemetry::ForecastMethod::kEwma, forecast_options);
+  ASSERT_EQ(demand.size(), want_demand.size());
+  ASSERT_GT(demand.size(), 0u);
+  for (std::size_t i = 0; i < demand.size(); ++i) {
+    EXPECT_EQ(demand.entries()[i].pair, want_demand.entries()[i].pair);
+    EXPECT_EQ(demand.entries()[i].gbps, want_demand.entries()[i].gbps);
+  }
+  // The controller's first re-solve starts from an empty path cache at the
+  // epsilon a fresh policy picks for this drift: a cold solve of the
+  // sorted read's demand with both must give the same flow.
+  AdaptiveController policy(controller.adaptive().config());
+  policy.observe(level, resolve_at);
+  lp::McfPathCache cache;
+  lp::McfOptions mcf_options;
+  mcf_options.epsilon = policy.epsilon();
+  mcf_options.warm_start = &cache;
+  const lp::McfResult want_solve = lp::max_concurrent_flow(
+      wan.graph(), want_demand.to_commodities(wan), mcf_options);
+  const lp::McfResult solved = controller.run_adaptive_resolve(resolve_at);
+  EXPECT_EQ(solved.lambda, want_solve.lambda);
+  EXPECT_EQ(solved.sp_calls, want_solve.sp_calls);
 }
 
 TEST(SmnController, Table1HasSevenAspects) {

@@ -4,12 +4,14 @@
 // they cover, so a reader that skips chunks by their bounds never misses a
 // published row in its window, out-of-order rows included. Sized for TSan
 // (ctest label query_stress), which also checks that the bounds are read
-// and written race-free.
+// and written race-free. The last test reads views while retention seals
+// and spills off the shard locks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <thread>
@@ -148,6 +150,79 @@ TEST(StoreReadStress, WindowedViewReadsDuringIngestMatchTheViewsFullRead) {
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(store.fine_range(0, kAllTime).record_count(), stream.record_count());
+}
+
+TEST(StoreReadStress, ReadsDuringSealAndSpillSeeEveryRowOnce) {
+  // Retention seals and spills (off the shard locks) while windowed
+  // readers and a whole-horizon storage-order reader run, and ingest adds
+  // new pairs and re-ingests into the day being retired. Every view must
+  // hold each of its rows exactly once: its storage-order read has the
+  // view's row count and, sorted, is its fine_range().
+  const std::string dir = ::testing::TempDir() + "smn_read_stress_seal";
+  std::filesystem::remove_all(dir);
+  LogStoreConfig config;
+  config.shards = 4;
+  config.ingest_threads = 1;
+  config.spill_dir = dir;
+  BandwidthLogStore store(config);
+  const BandwidthLog day = open_day_stream(53, 6000);
+  for (int d = 0; d < 3; ++d) {
+    BandwidthLog shifted;
+    for (std::size_t i = 0; i < day.record_count(); ++i) {
+      shifted.append(day.timestamps()[i] + d * util::kDay, day.pair_ids()[i],
+                     day.bandwidths()[i]);
+    }
+    store.ingest(shifted);
+  }
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      util::Rng rng(300 + static_cast<std::uint64_t>(r));
+      while (!done.load(std::memory_order_acquire)) {
+        const BandwidthLogStore::ReadView view = store.read_view();
+        const BandwidthLog all = view.fine_range(0, kAllTime);
+        ASSERT_EQ(all.record_count(), view.fine_rows());
+        if (r == 0) {
+          BandwidthLog storage = view.storage_range(0, util::kMonth);
+          ASSERT_EQ(storage.record_count(), view.fine_rows());
+          storage.sort();
+          expect_same_rows(storage, all);
+        } else {
+          const util::SimTime begin = rng.uniform_int(0, 3 * util::kDay);
+          const util::SimTime end = begin + 15 * util::kMinute;
+          expect_same_rows(view.fine_range(begin, end),
+                           filtered_prefix(all, all.record_count(), begin, end));
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::thread writer([&] {
+    util::IdSpace& ids = util::IdSpace::global();
+    for (int i = 0; i < 400; ++i) {
+      // Re-ingest into day 0 (being retired) and new pairs in day 2.
+      store.ingest(static_cast<util::SimTime>(i) * 131, day.pair_ids()[i], 1.0 + i);
+      store.ingest(2 * util::kDay + i, ids.pair_of_names("seal-stress-src" + std::to_string(i),
+                                                         "seal-stress-dst"),
+                   2.0 + i);
+      if (i % 40 == 0) std::this_thread::yield();
+    }
+  });
+  for (int pass = 0; pass < 6; ++pass) {
+    store.coarsen_older_than(2 * util::kDay, 0, util::kHour);
+    while (reads.load(std::memory_order_relaxed) < static_cast<std::size_t>(2 * (pass + 1))) {
+      std::this_thread::yield();
+    }
+  }
+  writer.join();
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  const LogStoreStats end = store.stats();
+  EXPECT_EQ(end.fine_records + end.spilled_records, 3 * day.record_count() + 800);
+  EXPECT_EQ(store.fine_range(0, kAllTime).record_count(), 3 * day.record_count() + 800);
+  EXPECT_GT(end.spilled_records, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Spill file format unit tests: write/open roundtrip on both the mmap and
-// the read()-fallback paths, zero-record files, atomic-write hygiene (no
+// Spill file format unit tests: write/open/read roundtrip, zero-record
+// files, atomic-write hygiene (no
 // .tmp left behind), and every corruption class the reader must reject —
 // truncation, bad magic, wrong version (v1 files included), inconsistent
 // offsets, a flipped header or block-table byte, and flipped column bytes
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,21 +68,29 @@ void flip_byte(const std::string& path, std::size_t offset) {
   ASSERT_TRUE(f.good()) << path;
 }
 
-TEST(SpillFile, RoundtripPreservesColumnsOnBothReadPaths) {
-  const Columns c = sample_columns(512);
+/// Every row of `seg`, in file order.
+BandwidthLog all_rows(const SpilledSegment& seg) {
+  BandwidthLog out;
+  seg.emit_time_filtered(&out, std::numeric_limits<util::SimTime>::min(),
+                         std::numeric_limits<util::SimTime>::max(), /*verify=*/true);
+  return out;
+}
+
+TEST(SpillFile, RoundtripPreservesColumns) {
+  // Three blocks and a short tail: the read spans block boundaries.
+  const Columns c = sample_columns(3 * kSpillBlockRows + 17);
   const std::string path = write_sample("roundtrip.col", c, 3 * util::kDay);
 
-  for (const bool allow_mmap : {true, false}) {
-    SCOPED_TRACE(allow_mmap ? "mmap" : "fallback");
-    const SpilledSegment seg = SpilledSegment::open(path, /*verify_checksum=*/true, allow_mmap);
-    EXPECT_EQ(seg.is_mapped(), allow_mmap);
-    ASSERT_EQ(seg.record_count(), c.timestamps.size());
-    EXPECT_EQ(seg.day(), 3 * util::kDay);
-    for (std::size_t i = 0; i < seg.record_count(); ++i) {
-      ASSERT_EQ(seg.timestamps()[i], c.timestamps[i]) << "row " << i;
-      ASSERT_EQ(seg.bandwidths()[i], c.bandwidths[i]) << "row " << i;
-      ASSERT_EQ(seg.pair_ids()[i], c.pairs[i]) << "row " << i;
-    }
+  const SpilledSegment seg = SpilledSegment::open(path, /*verify_checksum=*/true);
+  ASSERT_EQ(seg.record_count(), c.timestamps.size());
+  EXPECT_EQ(seg.day(), 3 * util::kDay);
+  EXPECT_EQ(seg.file_bytes(), std::filesystem::file_size(path));
+  const BandwidthLog rows = all_rows(seg);
+  ASSERT_EQ(rows.record_count(), c.timestamps.size());
+  for (std::size_t i = 0; i < rows.record_count(); ++i) {
+    ASSERT_EQ(rows.timestamps()[i], c.timestamps[i]) << "row " << i;
+    ASSERT_EQ(rows.bandwidths()[i], c.bandwidths[i]) << "row " << i;
+    ASSERT_EQ(rows.pair_ids()[i], c.pairs[i]) << "row " << i;
   }
 }
 
@@ -101,7 +110,7 @@ TEST(SpillFile, ZeroRecordFileRoundtrips) {
   const SpilledSegment seg = SpilledSegment::open(path);
   EXPECT_EQ(seg.record_count(), 0u);
   EXPECT_EQ(seg.day(), 2 * util::kDay);
-  EXPECT_TRUE(seg.timestamps().empty());
+  EXPECT_TRUE(all_rows(seg).empty());
 }
 
 TEST(SpillFile, MismatchedColumnLengthsThrowOnWrite) {
@@ -116,6 +125,7 @@ TEST(SpillFile, TruncatedFileIsRejected) {
   const std::string path = write_sample("truncated.col", sample_columns(64));
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 8);
   EXPECT_THROW(SpilledSegment::open(path), std::runtime_error);
+  EXPECT_THROW(SpilledSegment::open(path, /*verify_checksum=*/false), std::runtime_error);
   // Even shorter than the header.
   std::filesystem::resize_file(path, 16);
   EXPECT_THROW(SpilledSegment::open(path), std::runtime_error);
@@ -142,8 +152,8 @@ TEST(SpillFile, FlippedColumnByteFailsChecksumButPassesWhenDisabled) {
   const std::string path = write_sample("bit_rot.col", sample_columns(64));
   flip_byte(path, 80 + 24 + 24);  // inside the timestamp column
   EXPECT_THROW(SpilledSegment::open(path, /*verify_checksum=*/true), std::runtime_error);
-  // With verification off the structural checks still pass — the bench
-  // uses this mode to isolate raw map+read cost.
+  // With verification off the structural checks still pass: open() reads
+  // only the header and the block table.
   const SpilledSegment seg = SpilledSegment::open(path, /*verify_checksum=*/false);
   EXPECT_EQ(seg.record_count(), 64u);
 }
@@ -233,12 +243,10 @@ TEST(SpillBlockCorruption, OnlyReadsTouchingTheFlippedBlockThrow) {
     SCOPED_TRACE("column " + std::to_string(col));
     write_spill_file(path, 0, c.timestamps, c.bandwidths, c.pairs);
     flip_byte(path, column_offset(n, col, bad * kSpillBlockRows + 7));
-    for (const bool allow_mmap : {true, false}) {
-      SCOPED_TRACE(allow_mmap ? "mmap" : "fallback");
-      const SpilledSegment clean = SpilledSegment::open(clean_path, true, allow_mmap);
+    {
+      const SpilledSegment clean = SpilledSegment::open(clean_path, true);
       // Structure and header still check out; the block does not.
-      const SpilledSegment seg = SpilledSegment::open(path, /*verify_checksum=*/false,
-                                                      allow_mmap);
+      const SpilledSegment seg = SpilledSegment::open(path, /*verify_checksum=*/false);
       const util::SimTime bad_begin = ts(bad * kSpillBlockRows);
       const util::SimTime bad_end = ts((bad + 1) * kSpillBlockRows);
       // Any window touching the block throws — inside it, or straddling
@@ -259,8 +267,7 @@ TEST(SpillBlockCorruption, OnlyReadsTouchingTheFlippedBlockThrow) {
       }
       // Whole-file verification rejects the file.
       EXPECT_THROW(seg.verify(), std::runtime_error);
-      EXPECT_THROW(SpilledSegment::open(path, /*verify_checksum=*/true, allow_mmap),
-                   std::runtime_error);
+      EXPECT_THROW(SpilledSegment::open(path, /*verify_checksum=*/true), std::runtime_error);
     }
   }
 }
@@ -299,7 +306,7 @@ TEST(SpillBlockCorruption, StoreReadsAndRecoveryHonourTheBlockGuarantee) {
     expect_same_rows(store.fine_range(0, bad_begin), reference.fine_range(0, bad_begin));
     expect_same_rows(store.fine_range(bad_end, util::kDay),
                      reference.fine_range(bad_end, util::kDay));
-    // A read that threw released its mapping too.
+    // A read that threw closed its segment too.
     const LogStoreStats stats = store.stats();
     EXPECT_EQ(stats.spill_maps, 4u);
     EXPECT_EQ(stats.spill_unmaps, stats.spill_maps);

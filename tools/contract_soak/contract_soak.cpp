@@ -7,9 +7,9 @@
 // incident routing, optical risk publication, and the retention seal over
 // everything at the end.
 //
-// The bandwidth store runs with the mmap spill tier enabled by default
+// The bandwidth store runs with the spill tier enabled by default
 // (sealed days go to column files instead of being dropped), so the soak
-// also covers the spill write/map/merge paths under contracts; after the
+// also covers the spill write/read/merge paths under contracts; after the
 // retention seal it verifies fine_range() still returns every ingested
 // record. `--no-spill` restores the drop-on-seal store.
 //
